@@ -3,9 +3,13 @@
 Stage 1 scores and refines yaw-free anchors; stage 2 refines kept
 proposals with the four-corner location code and the (cos, sin)
 orientation code, each regression head paired with a log-variance head.
-Both stages are one-hidden-layer MLPs with hand-derived backprop so the
-whole objective is finite-difference checkable. Training runs the
-two-phase schedule: a plain phase with log-variance heads silent,
+Both stages are the same trunk-plus-heads MLP: one ReLU hidden layer
+feeding the linear heads of the stage's head table, run by one generic
+forward and one hand-derived backward, so the whole objective is
+finite-difference checkable. Every trainable array is a named view into
+one flat float64 buffer (weight matrices first); gradients share its
+layout, and Adam updates it with a few in-place vector ops. Training runs
+the two-phase schedule: a plain phase with log-variance heads silent,
 then the attenuated multi-loss.
 
 Candidate featurization pools the grid cells under a candidate's
@@ -22,7 +26,8 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +35,9 @@ from .bevraster import BevGrid, RangeSpec, rasterize
 from .boxgeom import Box3D, ScoredBox, aa_envelope, nms_indices
 from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, AssignLabel, assign,
                     decode_frh, decode_rpn, encode_frh, encode_rpn)
-from .errors import DivergenceError, OutOfGrid, ShapeError
-from .losses import (HeadOutputs, HeadTargets, LossBreakdown, attenuated_term,
-                     cross_entropy, multi_loss, smooth_l1)
+from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError
+from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
+                     attenuated_term, cross_entropy, multi_loss, smooth_l1)
 
 FEAT_GEOM = 4  # candidate l, w, h, cz
 
@@ -209,40 +214,66 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
 # ---------------------------------------------------------------------------
 # parameters
 
-@dataclass
-class Stage1Params:
-    w1: np.ndarray
-    b1: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-    w_reg: np.ndarray
-    b_reg: np.ndarray
-    w_lv: np.ndarray
-    b_lv: np.ndarray
+# Head tables: (name, width, log-variance clip applies). A stage is a trunk
+# (w1, b1: one ReLU hidden layer) feeding these linear heads.
+STAGE1_HEADS = (("cls", 2, False), ("reg", RPN_DIM, False), ("lv", RPN_DIM, True))
+STAGE2_HEADS = (("cls", 2, False), ("loc", FRH_LOC_DIM, False),
+                ("loc_lv", FRH_LOC_DIM, True), ("orient", FRH_ORIENT_DIM, False),
+                ("orient_lv", FRH_ORIENT_DIM, True))
+STAGES = (("stage1", STAGE1_HEADS), ("stage2", STAGE2_HEADS))
+# The losses.HeadOutputs field of each head, in table order: rpn_<head> for
+# stage 1 and frh_<head> for stage 2, with cls read as logits, lv as log_var.
+STAGE1_OUTPUTS, STAGE2_OUTPUTS = (
+    tuple(f"{prefix}_{head.replace('cls', 'logits').replace('lv', 'log_var')}"
+          for head, _, _ in heads) for prefix, heads in (("rpn", STAGE1_HEADS),
+                                                         ("frh", STAGE2_HEADS)))
 
 
-@dataclass
-class Stage2Params:
-    w1: np.ndarray
-    b1: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-    w_loc: np.ndarray
-    b_loc: np.ndarray
-    w_loc_lv: np.ndarray
-    b_loc_lv: np.ndarray
-    w_orient: np.ndarray
-    b_orient: np.ndarray
-    w_orient_lv: np.ndarray
-    b_orient_lv: np.ndarray
+def _trainable_shapes(feat_len: int, hidden1: int, hidden2: int) -> list:
+    """(name, shape) per trainable array in blob order: per stage the
+    trunk, then each head's weight and bias in table order."""
+    out = []
+    for (stage, heads), hidden in zip(STAGES, (hidden1, hidden2)):
+        out += [(f"{stage}.w1", (feat_len, hidden)), (f"{stage}.b1", (hidden,))]
+        for head, width, _ in heads:
+            out += [(f"{stage}.w_{head}", (hidden, width)), (f"{stage}.b_{head}", (width,))]
+    return out
 
 
-@dataclass
+class Stage(SimpleNamespace):
+    """One stage: its head table ``heads`` and views w1, b1, w_<head>, b_<head>."""
+
+
 class ModelParams:
-    stage1: Stage1Params
-    stage2: Stage2Params
-    anchor_shapes: np.ndarray  # (k, 3)
-    meta: dict                 # stride, z_center, pool_blocks
+    """Every trainable array as a named view into one float64 buffer, plus
+    the anchor layout the model was trained for.
+
+    ``flat`` holds all weight matrices first, so decoupled weight decay is
+    the slice ``flat[:n_weights]``. ``views`` lists the arrays in blob
+    order; ``stage1`` and ``stage2`` hold the same views per stage.
+    Gradients live in a second instance (``zeros_like``).
+    """
+
+    def __init__(self, feat_len: int, hidden1: int, hidden2: int,
+                 anchor_shapes: np.ndarray, meta: dict):
+        self.anchor_shapes = anchor_shapes  # (k, 3)
+        self.meta = meta                    # stride, z_center, pool_blocks
+        self.dims = (feat_len, hidden1, hidden2)
+        listing = _trainable_shapes(*self.dims)
+        packed = sorted(listing, key=lambda item: -len(item[1]))  # stable: matrices first
+        sizes = [math.prod(shape) for _, shape in packed]
+        self.flat = np.zeros(sum(sizes))
+        self.n_weights = sum(math.prod(shape) for _, shape in listing if len(shape) == 2)
+        starts = np.cumsum([0] + sizes)
+        views = {name: self.flat[start:start + size].reshape(shape)
+                 for (name, shape), start, size in zip(packed, starts, sizes)}
+        self.views = {name: views[name] for name, _ in listing}
+        self.stage1, self.stage2 = (Stage(heads=heads, **{
+            name.split(".")[1]: view for name, view in self.views.items()
+            if name.startswith(stage + ".")}) for stage, heads in STAGES)
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams(*self.dims, self.anchor_shapes, self.meta)
 
     def layout(self) -> AnchorLayout:
         return AnchorLayout(shapes=tuple(tuple(float(v) for v in row)
@@ -259,45 +290,30 @@ META_KEYS = ("stride", "z_center", "pool_blocks")
 
 
 def named_arrays(params: ModelParams) -> list:
-    """Stable (name, array) listing used by the optimizer and the blob."""
-    out = []
-    for stage_name, stage in (("stage1", params.stage1), ("stage2", params.stage2)):
-        for f in fields(stage):
-            out.append((f"{stage_name}.{f.name}", getattr(stage, f.name)))
-    out.append(("anchor_shapes", params.anchor_shapes))
-    out.append(("meta.layout", np.array([params.meta[k] for k in META_KEYS])))
-    return out
+    """Stable (name, array) listing used by the blob and gradcheck."""
+    return list(params.views.items()) + [
+        ("anchor_shapes", params.anchor_shapes),
+        ("meta.layout", np.array([params.meta[k] for k in META_KEYS]))]
 
 
 def init_params(cfg: "TrainConfig", feat_len: int, layout: AnchorLayout) -> ModelParams:
-    """He-scaled hidden and head weights; log-variance heads start at zero."""
+    """He-scaled trunk and head weights; log-variance heads and biases start at zero."""
     rng = np.random.default_rng([cfg.seed, 0])
-
-    def dense(n_in, n_out):
-        return rng.standard_normal((n_in, n_out)) * math.sqrt(2.0 / n_in)
-
-    h1, h2 = cfg.hidden1, cfg.hidden2
-    stage1 = Stage1Params(
-        w1=dense(feat_len, h1), b1=np.zeros(h1),
-        w_cls=dense(h1, 2), b_cls=np.zeros(2),
-        w_reg=dense(h1, RPN_DIM), b_reg=np.zeros(RPN_DIM),
-        w_lv=np.zeros((h1, RPN_DIM)), b_lv=np.zeros(RPN_DIM))
-    stage2 = Stage2Params(
-        w1=dense(feat_len, h2), b1=np.zeros(h2),
-        w_cls=dense(h2, 2), b_cls=np.zeros(2),
-        w_loc=dense(h2, FRH_LOC_DIM), b_loc=np.zeros(FRH_LOC_DIM),
-        w_loc_lv=np.zeros((h2, FRH_LOC_DIM)), b_loc_lv=np.zeros(FRH_LOC_DIM),
-        w_orient=dense(h2, FRH_ORIENT_DIM), b_orient=np.zeros(FRH_ORIENT_DIM),
-        w_orient_lv=np.zeros((h2, FRH_ORIENT_DIM)), b_orient_lv=np.zeros(FRH_ORIENT_DIM))
     meta = {"stride": float(layout.stride), "z_center": float(layout.z_center),
             "pool_blocks": float(cfg.pool_blocks)}
-    return ModelParams(stage1=stage1, stage2=stage2,
-                       anchor_shapes=np.array(layout.shapes, dtype=np.float64),
-                       meta=meta)
+    params = ModelParams(feat_len, cfg.hidden1, cfg.hidden2,
+                         np.array(layout.shapes, dtype=np.float64), meta)
+    for stage in (params.stage1, params.stage2):
+        for w in [stage.w1] + [getattr(stage, f"w_{head}")
+                               for head, _, lv in stage.heads if not lv]:
+            w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
+    return params
 
 
 PARAMS_MAGIC = b"LDET"
 PARAMS_VERSION = 1
+BLOB_NAMES = [name for name, _ in _trainable_shapes(0, 0, 0)] + ["anchor_shapes",
+                                                                  "meta.layout"]
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -316,37 +332,61 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Read a save_params blob; FormatError on anything else.
+
+    The header must list save_params' arrays in its order, shaped as the
+    head tables give for the feature length and hidden widths of
+    stage1.w1 and stage2.w1; the body must hold exactly their float32
+    values, all finite; stride and pool_blocks must be positive integers,
+    and the feature length one that feature_length gives for pool_blocks.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, version, count = struct.unpack_from("<4sII", blob, 0)
-    if magic != PARAMS_MAGIC or version != PARAMS_VERSION:
-        raise ValueError(f"not a parameters blob: {path}")
-    off = 12
-    table = []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        table.append((name, shape))
-    arrays = {}
-    for name, shape in table:
-        n = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=n,
-                                     offset=off).astype(np.float64).reshape(shape)
-        off += 4 * n
-    stage1 = Stage1Params(**{f.name: arrays[f"stage1.{f.name}"]
-                             for f in fields(Stage1Params)})
-    stage2 = Stage2Params(**{f.name: arrays[f"stage2.{f.name}"]
-                             for f in fields(Stage2Params)})
-    meta_arr = arrays["meta.layout"]
-    meta = {k: float(meta_arr[i]) for i, k in enumerate(META_KEYS)}
-    return ModelParams(stage1=stage1, stage2=stage2,
-                       anchor_shapes=arrays["anchor_shapes"], meta=meta)
+    try:
+        if struct.unpack_from("<4sII", blob, 0) != (PARAMS_MAGIC, PARAMS_VERSION,
+                                                    len(BLOB_NAMES)):
+            raise FormatError(f"{path}: not a version {PARAMS_VERSION} parameters blob")
+        off, shapes = 12, {}
+        for want in BLOB_NAMES:
+            (nlen,) = struct.unpack_from("<I", blob, off)
+            (ndim,) = struct.unpack_from("<I", blob, off + 4 + nlen)
+            if blob[off + 4:off + 4 + nlen] != want.encode("utf-8") or ndim > 2:
+                raise FormatError(f"{path}: expected array {want!r} at byte {off}")
+            shapes[want] = struct.unpack_from(f"<{ndim}I", blob, off + 8 + nlen)
+            off += 8 + nlen + 4 * ndim
+    except struct.error:
+        raise FormatError(f"{path}: truncated header") from None
+    w1a, w1b = shapes["stage1.w1"], shapes["stage2.w1"]
+    dims = (*w1a, w1b[-1]) if len(w1a) == len(w1b) == 2 else (0, 0, 0)
+    want = dict(_trainable_shapes(*dims) + [
+        ("anchor_shapes", (shapes["anchor_shapes"][:1] or (0,)) + (3,)),
+        ("meta.layout", (len(META_KEYS),))])
+    for name in BLOB_NAMES:
+        if shapes[name] != want[name] or 0 in want[name]:
+            raise FormatError(f"{path}: {name} has shape {shapes[name]}, "
+                              f"expected {want[name]} with every extent >= 1")
+    sizes = [math.prod(shapes[name]) for name in BLOB_NAMES]
+    if len(blob) - off != 4 * sum(sizes):
+        raise FormatError(f"{path}: body holds {len(blob) - off} bytes, "
+                          f"expected {4 * sum(sizes)}")
+    body = np.frombuffer(blob, dtype="<f4", offset=off).astype(np.float64)
+    if not np.isfinite(body).all():
+        raise FormatError(f"{path}: non-finite parameter value")
+    arrays = {name: part.reshape(shapes[name]) for name, part
+              in zip(BLOB_NAMES, np.split(body, np.cumsum(sizes)[:-1]))}
+    meta = {k: float(v) for k, v in zip(META_KEYS, arrays["meta.layout"])}
+    if any(meta[k] < 1.0 or meta[k] != round(meta[k]) for k in ("stride", "pool_blocks")):
+        raise FormatError(f"{path}: stride and pool_blocks must be positive integers")
+    # feature_length(S, pb) - FEAT_GEOM = pb^2 (2S + 2) with S >= 1 slices
+    cells = dims[0] - FEAT_GEOM
+    block = meta["pool_blocks"] ** 2
+    if cells % (2 * block) or cells < 4 * block:
+        raise FormatError(f"{path}: feature length {dims[0]} does not fit "
+                          f"pool_blocks {meta['pool_blocks']:g}")
+    params = ModelParams(*dims, anchor_shapes=arrays["anchor_shapes"], meta=meta)
+    for name, view in params.views.items():
+        view[...] = arrays[name]
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +396,6 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Inverted-scale dropout mask: zeros with probability rate, else 1/keep."""
     keep = 1.0 - rate
     return (rng.random(shape) < keep) / keep
-
-
-def _require_2d(x: np.ndarray, width: int, what: str) -> None:
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ShapeError(f"{what} must be (N, {width}), got {x.shape}")
 
 
 # Log-variance heads are clipped to this band.  Unbounded negative outputs
@@ -374,70 +409,61 @@ def _clip_lv(raw: np.ndarray):
     return np.clip(raw, -LV_CLIP, LV_CLIP), inside
 
 
-def stage1_forward(p: Stage1Params, x: np.ndarray, mask: Optional[np.ndarray] = None):
+def _forward(p: Stage, x: np.ndarray, mask: Optional[np.ndarray], what: str):
+    """Trunk, then every head in table order; returns (*heads, cache)."""
+    if x.ndim != 2 or x.shape[1] != p.w1.shape[0]:
+        raise ShapeError(f"{what} must be (N, {p.w1.shape[0]}), got {x.shape}")
+    pre = x @ p.w1 + p.b1
+    hid = np.maximum(pre, 0.0)
+    if mask is not None:
+        hid = hid * mask
+    outs, interiors = [], []
+    for head, _, lv in p.heads:
+        out = hid @ getattr(p, f"w_{head}") + getattr(p, f"b_{head}")
+        out, interior = _clip_lv(out) if lv else (out, None)
+        outs.append(out)
+        interiors.append(interior)
+    return (*outs, (x, pre, hid, mask, interiors))
+
+
+def _backward(p: Stage, cache, g: Stage, d_heads) -> Stage:
+    """Writes the stage's gradients into the views of g and returns g;
+    d_heads and the hidden-layer sum both follow the head table order."""
+    x, pre, hid, mask, interiors = cache
+    terms = []
+    for (head, _, _), d, interior in zip(p.heads, d_heads, interiors):
+        if interior is not None:
+            d = d * interior
+        np.matmul(hid.T, d, out=getattr(g, f"w_{head}"))
+        d.sum(axis=0, out=getattr(g, f"b_{head}"))
+        terms.append(d @ getattr(p, f"w_{head}").T)
+    d_hid = sum(terms[1:], terms[0])
+    if mask is not None:
+        d_hid = d_hid * mask
+    d_pre = d_hid * (pre > 0.0)
+    np.matmul(x.T, d_pre, out=g.w1)
+    d_pre.sum(axis=0, out=g.b1)
+    return g
+
+
+def stage1_forward(p: Stage, x: np.ndarray, mask: Optional[np.ndarray] = None):
     """Returns (logits, reg, log_var, cache)."""
-    _require_2d(x, p.w1.shape[0], "stage-1 features")
-    pre = x @ p.w1 + p.b1
-    hid = np.maximum(pre, 0.0)
-    if mask is not None:
-        hid = hid * mask
-    lv, lv_in = _clip_lv(hid @ p.w_lv + p.b_lv)
-    return (hid @ p.w_cls + p.b_cls, hid @ p.w_reg + p.b_reg,
-            lv, (x, pre, hid, mask, lv_in))
+    return _forward(p, x, mask, "stage-1 features")
 
 
-def stage1_backward(p: Stage1Params, cache, d_logits, d_reg, d_lv) -> Stage1Params:
-    x, pre, hid, mask, lv_in = cache
-    d_lv = d_lv * lv_in
-    d_hid = d_logits @ p.w_cls.T + d_reg @ p.w_reg.T + d_lv @ p.w_lv.T
-    grads = Stage1Params(
-        w1=None, b1=None,
-        w_cls=hid.T @ d_logits, b_cls=d_logits.sum(axis=0),
-        w_reg=hid.T @ d_reg, b_reg=d_reg.sum(axis=0),
-        w_lv=hid.T @ d_lv, b_lv=d_lv.sum(axis=0))
-    if mask is not None:
-        d_hid = d_hid * mask
-    d_pre = d_hid * (pre > 0.0)
-    grads.w1 = x.T @ d_pre
-    grads.b1 = d_pre.sum(axis=0)
-    return grads
-
-
-def stage2_forward(p: Stage2Params, x: np.ndarray, mask: Optional[np.ndarray] = None):
+def stage2_forward(p: Stage, x: np.ndarray, mask: Optional[np.ndarray] = None):
     """Returns (logits, loc, loc_log_var, orient, orient_log_var, cache)."""
-    _require_2d(x, p.w1.shape[0], "stage-2 features")
-    pre = x @ p.w1 + p.b1
-    hid = np.maximum(pre, 0.0)
-    if mask is not None:
-        hid = hid * mask
-    loc_lv, loc_in = _clip_lv(hid @ p.w_loc_lv + p.b_loc_lv)
-    or_lv, or_in = _clip_lv(hid @ p.w_orient_lv + p.b_orient_lv)
-    return (hid @ p.w_cls + p.b_cls,
-            hid @ p.w_loc + p.b_loc, loc_lv,
-            hid @ p.w_orient + p.b_orient, or_lv,
-            (x, pre, hid, mask, loc_in, or_in))
+    return _forward(p, x, mask, "stage-2 features")
 
 
-def stage2_backward(p: Stage2Params, cache, d_logits, d_loc, d_loc_lv,
-                    d_orient, d_orient_lv) -> Stage2Params:
-    x, pre, hid, mask, loc_in, or_in = cache
-    d_loc_lv = d_loc_lv * loc_in
-    d_orient_lv = d_orient_lv * or_in
-    d_hid = (d_logits @ p.w_cls.T + d_loc @ p.w_loc.T + d_loc_lv @ p.w_loc_lv.T
-             + d_orient @ p.w_orient.T + d_orient_lv @ p.w_orient_lv.T)
-    grads = Stage2Params(
-        w1=None, b1=None,
-        w_cls=hid.T @ d_logits, b_cls=d_logits.sum(axis=0),
-        w_loc=hid.T @ d_loc, b_loc=d_loc.sum(axis=0),
-        w_loc_lv=hid.T @ d_loc_lv, b_loc_lv=d_loc_lv.sum(axis=0),
-        w_orient=hid.T @ d_orient, b_orient=d_orient.sum(axis=0),
-        w_orient_lv=hid.T @ d_orient_lv, b_orient_lv=d_orient_lv.sum(axis=0))
-    if mask is not None:
-        d_hid = d_hid * mask
-    d_pre = d_hid * (pre > 0.0)
-    grads.w1 = x.T @ d_pre
-    grads.b1 = d_pre.sum(axis=0)
-    return grads
+def stage1_backward(p: Stage, cache, g: Stage, *d_heads) -> Stage:
+    """d_heads: gradients of (logits, reg, log_var); fills g."""
+    return _backward(p, cache, g, d_heads)
+
+
+def stage2_backward(p: Stage, cache, g: Stage, *d_heads) -> Stage:
+    """d_heads: gradients of (logits, loc, loc_lv, orient, orient_lv); fills g."""
+    return _backward(p, cache, g, d_heads)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -448,9 +474,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # training configuration and optimizer
-
-LIKELIHOOD_CHOICES = ("gaussian", "laplace")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -482,6 +505,10 @@ class TrainConfig:
     orient_snap: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("learning_rate", "decay_factor", "beta1", "beta2", "eps"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -491,8 +518,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.phase1_steps < 0 or self.phase2_steps < 0 or self.decay_every < 1:
             raise ValueError("step counts must be nonnegative with decay_every >= 1")
-        if self.form not in LIKELIHOOD_CHOICES:
-            raise ValueError(f"form must be one of {LIKELIHOOD_CHOICES}, got {self.form!r}")
+        if self.form not in LIKELIHOOD_FORMS:
+            raise ValueError(f"form must be one of {LIKELIHOOD_FORMS}, got {self.form!r}")
         if min(self.hidden1, self.hidden2, self.pool_blocks) < 1:
             raise ValueError("hidden sizes and pool_blocks must be >= 1")
         if self.loc_bias < 0.0 or self.orient_snap < 0.0:
@@ -506,39 +533,44 @@ def lr_schedule(cfg: TrainConfig, step: int) -> float:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Moments over the flat parameter buffer, and two scratch buffers of
+    its size so that a step allocates nothing."""
+
+    m: np.ndarray
+    v: np.ndarray
+    tmp: np.ndarray
+    tmp2: np.ndarray
     t: int = 0
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    trained = [(n, a) for n, a in named_arrays(params) if n.startswith("stage")]
-    return AdamState(m={n: np.zeros_like(a) for n, a in trained},
-                     v={n: np.zeros_like(a) for n, a in trained})
+    return AdamState(*(np.zeros_like(params.flat) for _ in range(4)))
 
 
-def adam_step(params: ModelParams, grads1: Stage1Params, grads2: Stage2Params,
-              state: AdamState, cfg: TrainConfig, step: int) -> None:
-    """One Adam update with decoupled weight decay on weight matrices only."""
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
+              cfg: TrainConfig, step: int) -> None:
+    """One Adam update with decoupled weight decay on weight matrices only.
+
+    In-place ops on the whole flat buffer, in the operand order of the
+    per-array expression, so every element matches a per-array loop bitwise.
+    """
     lr = lr_schedule(cfg, step)
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for stage_name, stage, grads in (("stage1", params.stage1, grads1),
-                                     ("stage2", params.stage2, grads2)):
-        for f in fields(stage):
-            name = f"{stage_name}.{f.name}"
-            theta = getattr(stage, f.name)
-            g = getattr(grads, f.name)
-            m = state.m[name]
-            v = state.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            if f.name.startswith("w"):
-                theta -= lr * cfg.weight_decay * theta
+    theta, g, m, v, a, b = params.flat, grads.flat, state.m, state.v, state.tmp, state.tmp2
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=a)
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += cfg.eps
+    theta -= np.divide(a, b, out=a)
+    w = theta[:params.n_weights]
+    w -= np.multiply(w, lr * cfg.weight_decay, out=a[:params.n_weights])
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +589,7 @@ class StepBatch:
 
 def run_batch(params: ModelParams, batch: StepBatch, cfg: TrainConfig, step: int,
               attenuate: bool, train_mode: bool = True):
-    """Loss and parameter gradients for one step.
+    """Loss and parameter gradients (a zeros_like of params) for one step.
 
     Dropout masks are regenerated from (seed, step, stage), so repeated
     calls at the same step see identical masks.
@@ -568,21 +600,19 @@ def run_batch(params: ModelParams, batch: StepBatch, cfg: TrainConfig, step: int
                              (len(batch.x1), cfg.hidden1), cfg.dropout_rate)
         mask2 = dropout_mask(np.random.default_rng([cfg.seed, 1, step, 2]),
                              (len(batch.x2), cfg.hidden2), cfg.dropout_rate)
-    logits1, reg1, lv1, cache1 = stage1_forward(params.stage1, batch.x1, mask1)
-    logits2, loc2, loc_lv2, or2, or_lv2, cache2 = stage2_forward(
-        params.stage2, batch.x2, mask2)
-    outputs = HeadOutputs(rpn_logits=logits1, rpn_reg=reg1, rpn_log_var=lv1,
-                          frh_logits=logits2, frh_loc=loc2, frh_loc_log_var=loc_lv2,
-                          frh_orient=or2, frh_orient_log_var=or_lv2)
+    *heads1, cache1 = stage1_forward(params.stage1, batch.x1, mask1)
+    *heads2, cache2 = stage2_forward(params.stage2, batch.x2, mask2)
+    outputs = HeadOutputs(**dict(zip(STAGE1_OUTPUTS + STAGE2_OUTPUTS, heads1 + heads2)))
     targets = HeadTargets(rpn_reg=batch.rpn_reg, rpn_cls=batch.rpn_cls,
                           frh_loc=batch.frh_loc, frh_orient=batch.frh_orient,
                           frh_cls=batch.frh_cls)
     breakdown, g = multi_loss(outputs, targets, form=cfg.form, attenuate=attenuate)
-    grads1 = stage1_backward(params.stage1, cache1, g.rpn_logits, g.rpn_reg,
-                             g.rpn_log_var)
-    grads2 = stage2_backward(params.stage2, cache2, g.frh_logits, g.frh_loc,
-                             g.frh_loc_log_var, g.frh_orient, g.frh_orient_log_var)
-    return breakdown, grads1, grads2
+    grads = params.zeros_like()
+    stage1_backward(params.stage1, cache1, grads.stage1,
+                    *[getattr(g, name) for name in STAGE1_OUTPUTS])
+    stage2_backward(params.stage2, cache2, grads.stage2,
+                    *[getattr(g, name) for name in STAGE2_OUTPUTS])
+    return breakdown, grads
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +837,10 @@ def train(training_set: TrainingSet, cfg: TrainConfig, layout: AnchorLayout):
     for step in range(cfg.phase1_steps + cfg.phase2_steps):
         batch = batches[step % len(batches)]
         attenuate = step >= cfg.phase1_steps
-        breakdown, g1, g2 = run_batch(params, batch, cfg, step, attenuate)
+        breakdown, grads = run_batch(params, batch, cfg, step, attenuate)
         if not math.isfinite(breakdown.total):
             raise DivergenceError(f"non-finite loss at step {step}")
-        adam_step(params, g1, g2, state, cfg, step)
+        adam_step(params, grads, state, cfg, step)
         log.append(LogRow(step, lr_schedule(cfg, step), breakdown.rpn_reg,
                           breakdown.rpn_cls, breakdown.frh_loc, breakdown.frh_cls,
                           breakdown.frh_orient, breakdown.total))
@@ -841,6 +871,14 @@ class InferConfig:
     proposal_count: int = 64
     final_nms_threshold: float = 0.3
     score_min: float = 0.05
+
+    def __post_init__(self) -> None:
+        for name in ("pre_nms_top", "proposal_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("nms_threshold", "final_nms_threshold", "score_min"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -973,6 +1011,23 @@ def _central(fn, x: float, h: float = 1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
+def _check_arrays(arrays, loss, rtol: float, what: str) -> list:
+    """Central differences of loss() in every element of each (name, array,
+    analytic gradient); what formats the failure line from name[index]."""
+    bad = []
+    for name, arr, g in arrays:
+        for idx in np.ndindex(arr.shape):
+            def fn(t, arr=arr, idx=idx):
+                before = arr[idx]
+                arr[idx] = t
+                val = loss()
+                arr[idx] = before
+                return val
+            if not _rel_ok(g[idx], _central(fn, float(arr[idx])), rtol):
+                bad.append(what.format(f"{name}{list(idx)}"))
+    return bad
+
+
 def _check_losses(seed: int, rtol: float) -> list:
     rng = np.random.default_rng([seed, 10])
     bad = []
@@ -1027,23 +1082,14 @@ def _random_outputs_targets(rng, n=7, m=6):
 
 def _check_multi_loss(seed: int, rtol: float) -> list:
     rng = np.random.default_rng([seed, 11])
-    form = LIKELIHOOD_CHOICES[seed % 2]
+    form = LIKELIHOOD_FORMS[seed % 2]
     outputs, targets = _random_outputs_targets(rng)
     _, grads = multi_loss(outputs, targets, form=form)
-    bad = []
-    for f in fields(HeadOutputs):
-        arr = getattr(outputs, f.name)
-        g = getattr(grads, f.name)
-        for idx in np.ndindex(arr.shape):
-            def fn(t, f=f, idx=idx):
-                before = arr[idx]
-                arr[idx] = t
-                val = multi_loss(outputs, targets, form=form)[0].total
-                arr[idx] = before
-                return val
-            if not _rel_ok(g[idx], _central(fn, float(arr[idx])), rtol):
-                bad.append(f"multi_loss gradient {f.name}{list(idx)} ({form})")
-    return bad
+    return _check_arrays(
+        [(f.name, getattr(outputs, f.name), getattr(grads, f.name))
+         for f in fields(HeadOutputs)],
+        lambda: multi_loss(outputs, targets, form=form)[0].total, rtol,
+        f"multi_loss gradient {{}} ({form})")
 
 
 def _gradcheck_cfg(seed: int) -> TrainConfig:
@@ -1075,25 +1121,12 @@ def _check_end_to_end(seed: int, rtol: float, train_mode: bool) -> list:
             arr += rng.normal(0, 0.05, arr.shape)
     batch = _random_step_batch(rng, feat_len)
     step = 3
-    _, g1, g2 = run_batch(params, batch, cfg, step, attenuate=True,
-                          train_mode=train_mode)
-    bad = []
-    for stage, grads in ((params.stage1, g1), (params.stage2, g2)):
-        for f in fields(stage):
-            arr = getattr(stage, f.name)
-            g = getattr(grads, f.name)
-            for idx in np.ndindex(arr.shape):
-                def fn(t, arr=arr, idx=idx):
-                    before = arr[idx]
-                    arr[idx] = t
-                    val = run_batch(params, batch, cfg, step, attenuate=True,
-                                    train_mode=train_mode)[0].total
-                    arr[idx] = before
-                    return val
-                if not _rel_ok(g[idx], _central(fn, float(arr[idx])), rtol):
-                    bad.append(f"end-to-end gradient {f.name}{list(idx)} "
-                               f"(train_mode={train_mode})")
-    return bad
+    _, grads = run_batch(params, batch, cfg, step, attenuate=True, train_mode=train_mode)
+    return _check_arrays(
+        [(name, arr, grads.views[name]) for name, arr in params.views.items()],
+        lambda: run_batch(params, batch, cfg, step, attenuate=True,
+                          train_mode=train_mode)[0].total, rtol,
+        f"end-to-end gradient {{}} (train_mode={train_mode})")
 
 
 def gradcheck(seeds: int = 20, rtol: float = 1e-4):

@@ -172,6 +172,48 @@ class TestExitCodes:
         assert "no scenes" in capsys.readouterr().err
 
 
+class TestBoundaries:
+    """Malformed inputs end in exit code 1 with a one-line message."""
+
+    @staticmethod
+    def _one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("keep", [5, 30, -5])
+    def test_truncated_params_blob(self, workspace, tmp_path, capsys, keep):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(workspace["params"].read_bytes()[:keep])
+        code = run(["infer", "--params", str(cut), "--data", str(workspace["scenes"]),
+                    "--out", str(tmp_path / "dets"), "--config", str(workspace["cfg"])])
+        assert code == 1
+        assert str(cut) in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("line", [
+        "infer.proposal_count = -1", "infer.pre_nms_top = 0",
+        "infer.nms_threshold = 1.5", "infer.score_min = nan"])
+    def test_bad_infer_config(self, workspace, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + line + "\n")
+        code = run(["infer", "--params", str(workspace["params"]),
+                    "--data", str(workspace["scenes"]), "--out", str(tmp_path / "dets"),
+                    "--config", str(cfg)])
+        assert code == 1
+        assert line.split(".")[1].split(" ")[0] in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("line", ["train.learning_rate = nan", "train.beta1 = inf"])
+    def test_non_finite_train_config(self, workspace, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + line + "\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert "must be finite" in self._one_line_error(capsys)
+        assert not (tmp_path / "m.bin").exists()
+
+
 class TestConfig:
     def test_defaults_are_complete(self):
         cfg = default_config()

@@ -1,18 +1,23 @@
 """Two-stage detector: features, parameters, optimizer, training, inference."""
 
 import math
+import re
+import struct
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lidardet.bevraster import BevGrid, RangeSpec, rasterize
 from lidardet.boxgeom import Box3D
-from lidardet.errors import OutOfGrid, ShapeError
-from lidardet.model import (LV_CLIP, AnchorLayout, Detection, InferConfig,
-                            ModelParams, Stage1Params, Stage2Params, StepBatch,
-                            TrainConfig, adam_step, anchor_features,
-                            apply_label_noise, build_anchor_set,
+from lidardet.errors import FormatError, OutOfGrid, ShapeError
+from lidardet.losses import HeadOutputs
+from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE1_OUTPUTS, STAGE2_HEADS,
+                            STAGE2_OUTPUTS, AnchorLayout, Detection, InferConfig,
+                            ModelParams, StepBatch, TrainConfig,
+                            adam_step, anchor_features, apply_label_noise,
+                            build_anchor_set,
                             build_training_set, detect_scenes, dropout_mask,
                             feature_length, featurize, gradcheck, infer,
                             init_adam, init_params, load_detections,
@@ -25,6 +30,10 @@ from lidardet.pcio import PointCloud
 from lidardet.synthgen import SceneSpec, generate_scenes
 
 SMALL = RangeSpec(0.0, 16.0, -8.0, 8.0, 0.0, 2.5, 0.5, 5, 0.5)
+# an LDET v1 blob (feature length 8, hidden widths 3 and 2, every array
+# nonzero) written by the per-stage parameter code that preceded the flat
+# buffer
+FIXTURE = Path(__file__).parent / "data" / "params_v1.bin"
 
 
 def small_grid(seed=0, n=600):
@@ -182,6 +191,18 @@ class TestForwardBackward:
         return init_params(cfg, feat_len=12, layout=AnchorLayout(
             shapes=((4.0, 1.8, 1.5),)))
 
+    def test_stage_views_follow_the_head_tables(self):
+        params = self._params()
+        for stage, heads in ((params.stage1, STAGE1_HEADS), (params.stage2, STAGE2_HEADS)):
+            assert stage.heads == heads
+            for head, width, _ in heads:
+                assert getattr(stage, f"w_{head}").shape == (stage.w1.shape[1], width)
+                assert getattr(stage, f"b_{head}").shape == (width,)
+
+    def test_head_tables_name_every_head_output(self):
+        assert sorted(STAGE1_OUTPUTS + STAGE2_OUTPUTS) == sorted(
+            f.name for f in fields(HeadOutputs))
+
     def test_log_variance_outputs_clipped(self):
         p = self._params().stage1
         p.b_lv[:] = 50.0
@@ -193,22 +214,27 @@ class TestForwardBackward:
         assert np.all(lv == -LV_CLIP)
 
     def test_saturated_log_variance_blocks_gradient(self):
-        p = self._params().stage1
+        params = self._params()
+        p = params.stage1
         p.b_lv[:] = 50.0
         x = np.random.default_rng(1).normal(size=(4, 12))
         logits, reg, lv, cache = stage1_forward(p, x)
-        g = stage1_backward(p, cache, np.zeros_like(logits),
+        target = params.zeros_like()
+        target.flat[:] = np.nan  # so the zero checks prove backward wrote zeros
+        g = stage1_backward(p, cache, target.stage1, np.zeros_like(logits),
                             np.zeros_like(reg), np.ones_like(lv))
         assert not g.w_lv.any() and not g.b_lv.any()
         assert not g.w1.any()
 
     def test_interior_log_variance_passes_gradient(self):
-        p = self._params().stage2
+        params = self._params()
+        p = params.stage2
         x = np.random.default_rng(2).normal(size=(4, 12))
         out = stage2_forward(p, x)
         lv, cache = out[2], out[5]
         assert np.all(np.abs(lv) < LV_CLIP)  # zero-initialized heads
-        g = stage2_backward(p, cache, np.zeros((4, 2)), np.zeros((4, 10)),
+        g = stage2_backward(p, cache, params.zeros_like().stage2,
+                            np.zeros((4, 2)), np.zeros((4, 10)),
                             np.ones((4, 10)), np.zeros((4, 2)), np.zeros((4, 2)))
         assert g.b_loc_lv.sum() == pytest.approx(40.0)
 
@@ -252,7 +278,7 @@ class TestParams:
         assert params.pool_blocks == cfg.pool_blocks
 
     def test_save_load_roundtrip_is_float32_exact(self, tmp_path):
-        params = init_params(TrainConfig(seed=9, hidden1=8, hidden2=8),
+        params = init_params(TrainConfig(seed=9, hidden1=8, hidden2=8, pool_blocks=1),
                              12, self.LAYOUT)
         path = tmp_path / "model.bin"
         save_params(params, path)
@@ -268,11 +294,68 @@ class TestParams:
     def test_load_rejects_foreign_blob(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
+            load_params(path)
+
+    def test_views_alias_one_flat_buffer_weights_first(self):
+        params = init_params(TrainConfig(seed=2, hidden1=5, hidden2=7), 11, self.LAYOUT)
+        params.stage1.w_reg[1, 2] = 123.0
+        params.stage2.b_cls[1] = -7.5
+        assert np.count_nonzero(params.flat == 123.0) == 1
+        assert np.count_nonzero(params.flat == -7.5) == 1
+        assert params.flat.size == sum(v.size for v in params.views.values())
+        weights, biases = params.flat[:params.n_weights], params.flat[params.n_weights:]
+        for name, view in params.views.items():
+            assert view.base is params.flat, name
+            assert np.shares_memory(view, weights) == (view.ndim == 2), name
+            assert np.shares_memory(view, biases) == (view.ndim == 1), name
+        assert params.n_weights == sum(v.size for v in params.views.values() if v.ndim == 2)
+
+    def test_v1_blob_reloads_and_resaves_byte_identical(self, tmp_path):
+        params = load_params(FIXTURE)
+        assert params.stage1.w1.shape == (8, 3) and params.stage2.w1.shape == (8, 2)
+        assert params.layout().stride == 2 and params.pool_blocks == 1
+        save_params(params, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == FIXTURE.read_bytes()
+
+    def test_truncated_blob_is_format_error_at_every_length(self, tmp_path):
+        blob = FIXTURE.read_bytes()
+        path = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                load_params(path)
+
+    @pytest.mark.parametrize("mutate,words", [
+        (lambda b: b + b"\x00", "body holds"),
+        (lambda b: b.replace(b"stage1.w_lv", b"stage1.w_xx"), "'stage1.w_lv'"),
+        (lambda b: b.replace(b"stage2.w1" + struct.pack("<3I", 2, 8, 2),
+                             b"stage2.w1" + struct.pack("<3I", 2, 7, 2)), "stage2.w1 has shape"),
+        (lambda b: b.replace(b"stage1.b_reg" + struct.pack("<2I", 1, 6),
+                             b"stage1.b_reg" + struct.pack("<2I", 1, 5)), "stage1.b_reg has shape"),
+        (lambda b: b[:-12] + struct.pack("<3f", 0.0, 0.75, 1.0), "stride"),
+        (lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite"),
+        (lambda b: b[:-4] + struct.pack("<f", 2.0), "feature length 8 does not fit"),
+    ])
+    def test_malformed_blob_is_format_error(self, tmp_path, mutate, words):
+        blob = FIXTURE.read_bytes()
+        bad = mutate(blob)
+        assert bad != blob
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match=re.escape(words)):
             load_params(path)
 
 
+def _random_grads(params, rng):
+    grads = params.zeros_like()
+    grads.flat[:] = rng.normal(size=grads.flat.size)
+    return grads
+
+
 class TestOptimizer:
+    LAYOUT = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
+
     def test_lr_schedule_staircase(self):
         cfg = TrainConfig(learning_rate=0.1, decay_factor=0.5, decay_every=100)
         assert lr_schedule(cfg, 0) == 0.1
@@ -283,63 +366,99 @@ class TestOptimizer:
     def test_first_adam_step_matches_hand_formula(self):
         cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.0,
                           hidden1=4, hidden2=4)
-        layout = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
-        params = init_params(cfg, 6, layout)
-        before = {n: a.copy() for n, a in named_arrays(params)}
-        rng = np.random.default_rng(0)
-        g1 = Stage1Params(*[rng.normal(size=getattr(params.stage1, f.name).shape)
-                            for f in fields(Stage1Params)])
-        g2 = Stage2Params(*[rng.normal(size=getattr(params.stage2, f.name).shape)
-                            for f in fields(Stage2Params)])
-        state = init_adam(params)
-        adam_step(params, g1, g2, state, cfg, step=0)
+        params = init_params(cfg, 6, self.LAYOUT)
+        before = {n: a.copy() for n, a in params.views.items()}
+        grads = _random_grads(params, np.random.default_rng(0))
+        adam_step(params, grads, init_adam(params), cfg, step=0)
         # at t=1 the bias-corrected update reduces to lr * g / (|g| + eps)
-        for stage_name, stage, grads in (("stage1", params.stage1, g1),
-                                         ("stage2", params.stage2, g2)):
-            for f in fields(stage):
-                g = getattr(grads, f.name)
-                want = before[f"{stage_name}.{f.name}"] \
-                    - 1e-2 * g / (np.abs(g) + cfg.eps)
-                np.testing.assert_allclose(getattr(stage, f.name), want,
-                                           atol=1e-12)
+        for name, theta in params.views.items():
+            g = grads.views[name]
+            want = before[name] - 1e-2 * g / (np.abs(g) + cfg.eps)
+            np.testing.assert_allclose(theta, want, atol=1e-12, err_msg=name)
 
     def test_weight_decay_applies_to_weights_only(self):
         cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.1,
                           hidden1=4, hidden2=4)
-        layout = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
-        params = init_params(cfg, 6, layout)
-        params.stage1.b1[:] = 1.0
-        w_before = params.stage1.w1.copy()
-        zero1 = Stage1Params(*[np.zeros_like(getattr(params.stage1, f.name))
-                               for f in fields(Stage1Params)])
-        zero2 = Stage2Params(*[np.zeros_like(getattr(params.stage2, f.name))
-                               for f in fields(Stage2Params)])
-        adam_step(params, zero1, zero2, init_adam(params), cfg, step=0)
-        np.testing.assert_allclose(params.stage1.w1,
-                                   w_before * (1.0 - 1e-3 * 0.1), atol=1e-15)
-        np.testing.assert_array_equal(params.stage1.b1, np.ones(4))
+        params = init_params(cfg, 6, self.LAYOUT)
+        params.flat[params.n_weights:] = 1.0
+        before = {n: a.copy() for n, a in params.views.items()}
+        adam_step(params, params.zeros_like(), init_adam(params), cfg, step=0)
+        for name, theta in params.views.items():
+            if theta.ndim == 2:
+                np.testing.assert_allclose(theta, before[name] * (1.0 - 1e-3 * 0.1),
+                                           atol=1e-15, err_msg=name)
+            else:
+                np.testing.assert_array_equal(theta, np.ones(theta.shape), err_msg=name)
 
     def test_second_step_accumulates_moments(self):
         cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.0,
                           hidden1=4, hidden2=4)
-        layout = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
-        params = init_params(cfg, 6, layout)
+        params = init_params(cfg, 6, self.LAYOUT)
         x0 = float(params.stage1.w1[0, 0])
-        g1 = Stage1Params(*[np.ones_like(getattr(params.stage1, f.name))
-                            for f in fields(Stage1Params)])
-        g2 = Stage2Params(*[np.ones_like(getattr(params.stage2, f.name))
-                            for f in fields(Stage2Params)])
+        grads = params.zeros_like()
+        grads.flat[:] = 1.0
         state = init_adam(params)
         m = v = 0.0
         want = x0
         for t in range(1, 4):
-            adam_step(params, g1, g2, state, cfg, step=t - 1)
+            adam_step(params, grads, state, cfg, step=t - 1)
             m = cfg.beta1 * m + (1 - cfg.beta1) * 1.0
             v = cfg.beta2 * v + (1 - cfg.beta2) * 1.0
             want -= 1e-2 * (m / (1 - cfg.beta1 ** t)) \
                 / (math.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.eps)
         assert params.stage1.w1[0, 0] == pytest.approx(want, rel=1e-12)
         assert state.t == 3
+
+    def test_flat_adam_is_bitwise_a_per_array_loop(self):
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.05, decay_every=10,
+                          hidden1=5, hidden2=7)
+        params = init_params(cfg, 9, self.LAYOUT)
+        ref = {n: a.copy() for n, a in params.views.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        state = init_adam(params)
+        rng = np.random.default_rng(7)
+        for step in range(30):
+            grads = _random_grads(params, rng)
+            grads.flat *= rng.uniform(0.01, 10.0, grads.flat.size)
+            adam_step(params, grads, state, cfg, step)
+            # reference: Adam with decoupled weight decay, one array at a time
+            lr = lr_schedule(cfg, step)
+            bc1 = 1.0 - cfg.beta1 ** (step + 1)
+            bc2 = 1.0 - cfg.beta2 ** (step + 1)
+            for name, theta in ref.items():
+                g = grads.views[name]
+                m[name] *= cfg.beta1
+                m[name] += (1.0 - cfg.beta1) * g
+                v[name] *= cfg.beta2
+                v[name] += (1.0 - cfg.beta2) * g * g
+                theta -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+                if name.split(".")[1].startswith("w"):
+                    theta -= lr * cfg.weight_decay * theta
+        for name, theta in ref.items():
+            np.testing.assert_array_equal(params.views[name], theta, err_msg=name)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["learning_rate", "beta1", "eps", "weight_decay",
+                                       "outlier_prob", "loc_bias"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_train_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pre_nms_top": 0}, {"pre_nms_top": -5}, {"proposal_count": -1},
+        {"proposal_count": 0}, {"nms_threshold": 1.5}, {"nms_threshold": math.nan},
+        {"final_nms_threshold": -0.1}, {"score_min": math.inf},
+        {"score_min": math.nan}])
+    def test_infer_config_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            InferConfig(**kwargs)
+
+    def test_infer_config_accepts_closed_unit_interval(self):
+        InferConfig(pre_nms_top=1, proposal_count=1, nms_threshold=1.0,
+                    final_nms_threshold=0.0, score_min=0.0)
 
 
 CFG_SMOKE = TrainConfig(seed=0, hidden1=8, hidden2=8, phase1_steps=4,
@@ -453,37 +572,45 @@ class TestRunBatch:
     CFG = TrainConfig(seed=1, hidden1=8, hidden2=9)
     LAYOUT = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
 
-    def test_baseline_ignores_log_variance_heads(self):
+    def test_baseline_ignores_log_variance_heads(self, monkeypatch):
+        zeros_like = ModelParams.zeros_like
+
+        def nan_filled(params):  # so the zero checks prove backward wrote zeros
+            grads = zeros_like(params)
+            grads.flat[:] = np.nan
+            return grads
+        monkeypatch.setattr(ModelParams, "zeros_like", nan_filled)
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(3), 12)
-        _, g1, g2 = run_batch(params, batch, self.CFG, 0, attenuate=False)
-        assert not g1.w_lv.any() and not g1.b_lv.any()
-        assert not g2.w_loc_lv.any() and not g2.w_orient_lv.any()
+        _, grads = run_batch(params, batch, self.CFG, 0, attenuate=False)
+        assert not grads.stage1.w_lv.any() and not grads.stage1.b_lv.any()
+        assert not grads.stage2.w_loc_lv.any() and not grads.stage2.w_orient_lv.any()
+        assert np.isfinite(grads.flat).all()
 
     def test_attenuated_equals_baseline_at_zero_log_variance(self):
         # log-variance heads start at zero, where both objectives coincide
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(4), 12)
-        base, b1, _ = run_batch(params, batch, self.CFG, 2, attenuate=False)
-        att, a1, _ = run_batch(params, batch, self.CFG, 2, attenuate=True)
+        base, b = run_batch(params, batch, self.CFG, 2, attenuate=False)
+        att, a = run_batch(params, batch, self.CFG, 2, attenuate=True)
         assert att.total == pytest.approx(base.total, rel=1e-12)
         assert att.rpn_reg == pytest.approx(base.rpn_reg, rel=1e-12)
-        np.testing.assert_allclose(a1.w_reg, b1.w_reg, atol=1e-12)
+        np.testing.assert_allclose(a.stage1.w_reg, b.stage1.w_reg, atol=1e-12)
 
     def test_dropout_replays_per_step(self):
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(5), 12)
-        a, _, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
-        b, _, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
-        c, _, _ = run_batch(params, batch, self.CFG, 8, attenuate=True)
+        a, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
+        b, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
+        c, _ = run_batch(params, batch, self.CFG, 8, attenuate=True)
         assert a.total == b.total
         assert a.total != c.total
 
     def test_eval_mode_disables_dropout(self):
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(6), 12)
-        a, _, _ = run_batch(params, batch, self.CFG, 1, True, train_mode=False)
-        b, _, _ = run_batch(params, batch, self.CFG, 2, True, train_mode=False)
+        a, _ = run_batch(params, batch, self.CFG, 1, True, train_mode=False)
+        b, _ = run_batch(params, batch, self.CFG, 2, True, train_mode=False)
         assert a.total == b.total
 
 
