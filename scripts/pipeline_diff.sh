@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Same-behaviour check for refactors: run the README quick-config pipeline
+# (synth x20, train, infer --records, eval, the six analyses, rasterize;
+# seed 7) on a committed git ref and on the working tree, then compare
+# every output file, printed output included, byte for byte.
+#
+#   scripts/pipeline_diff.sh <git-ref>
+#
+# Exits 0 when all artifacts are identical, 1 when any differ, 2 on a
+# usage or pipeline error. The ref is exported with `git archive` into a
+# temporary directory (under $TMPDIR), which is removed on exit.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <git-ref>" >&2
+    exit 2
+fi
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+ref=$1
+git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" >/dev/null \
+    || { echo "not a commit: $ref" >&2; exit 2; }
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref-tree"
+git -C "$repo" archive "$ref" | tar -x -C "$tmp/ref-tree"
+
+# The config block of the README's CLI section, from the working tree.
+sed -n '/^# quick.cfg$/,/^```$/p' "$repo/README.md" | sed '$d' > "$tmp/quick.cfg"
+grep -q '^seed = 7$' "$tmp/quick.cfg" \
+    || { echo "README quick.cfg block not found" >&2; exit 2; }
+
+pipeline() {  # <source tree> <output dir>
+    local src=$1/src out=$2
+    mkdir -p "$out"
+    cp "$tmp/quick.cfg" "$out/"
+    (
+        cd "$out"
+        ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
+        ldet synth --spec quick.cfg --count 20 --out scenes
+        ldet train --data scenes --config quick.cfg --out-params model.bin --log train_log.csv
+        ldet infer --params model.bin --data scenes --out dets --config quick.cfg \
+            --records records.csv
+        ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
+        for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \
+                rpn-vs-frh loc-vs-orient; do
+            ldet analyze --records records.csv --analysis "$analysis" --out "$analysis.csv"
+        done
+        ldet rasterize --cloud scenes/scene_0000.bin --spec quick.cfg --out grid.bin
+    ) > "$out/stdout.txt" || { echo "pipeline failed on $1" >&2; exit 2; }
+}
+
+pipeline "$tmp/ref-tree" "$tmp/ref"
+pipeline "$repo" "$tmp/work"
+
+files=$(find "$tmp/work" -type f | wc -l)
+if diff -rq "$tmp/ref" "$tmp/work"; then
+    echo "identical: $files files from $ref and the working tree"
+else
+    echo "artifacts differ between $ref and the working tree" >&2
+    exit 1
+fi

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, SpecError
+from .errors import FormatError, SpecError, require_finite
 from .pcio import PointCloud
 
 GRID_MAGIC = b"BEVG"
@@ -47,6 +47,7 @@ class RangeSpec:
     slice_height: float
 
     def __post_init__(self) -> None:
+        require_finite(self, SpecError)
         if self.xy_resolution <= 0.0:
             raise SpecError(f"xy_resolution must be positive, got {self.xy_resolution}")
         if self.slice_height <= 0.0:
@@ -76,11 +77,6 @@ class RangeSpec:
             raise IndexError(f"cell ({row}, {col}) outside {self.n_rows}x{self.n_cols} grid")
         return (self.x_min + (row + 0.5) * self.xy_resolution,
                 self.y_min + (col + 0.5) * self.xy_resolution)
-
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        """Row/col of the cell containing (x, y); not bounds-checked."""
-        return (int(math.floor((x - self.x_min) / self.xy_resolution)),
-                int(math.floor((y - self.y_min) / self.xy_resolution)))
 
 
 @dataclass

@@ -126,20 +126,38 @@ def intersection_area_bev(a: Box3D, b: Box3D) -> float:
     return max(0.0, polygon_area(poly))
 
 
+def aa_extents(cx, cy, l, w) -> np.ndarray:
+    """(N, 4) ``x1, x2, y1, y2`` extents of axis-aligned l-by-w footprints."""
+    return np.stack([cx - 0.5 * l, cx + 0.5 * l, cy - 0.5 * w, cy + 0.5 * w], axis=-1)
+
+
+def box_extents(boxes: Sequence[Box3D]) -> np.ndarray:
+    """Extents of the boxes' axis-aligned l-by-w footprints; yaw is ignored."""
+    return aa_extents(*np.array([(b.cx, b.cy, b.l, b.w) for b in boxes],
+                                dtype=np.float64).reshape(-1, 4).T)
+
+
+def iou_aa(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (N, 4) and (M, 4) extents, shape (N, M).
+
+    Area is ``(x2 - x1) * (y2 - y1)``; a pair whose union is not positive
+    scores 0. The arithmetic runs on (M, N) arrays with a's axis innermost
+    and contiguous, the fast layout when a is the longer side.
+    """
+    ax1, ax2, ay1, ay2 = np.ascontiguousarray(a.T)
+    bx1, bx2, by1, by2 = b.T[:, :, None]
+    inter = (np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+             * np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0))
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0).T
+
+
 def iou_bev_aa(a: Box3D, b: Box3D) -> float:
     """IoU of the axis-aligned l-by-w footprints; yaw is ignored.
 
     Intended for yaw-free boxes (anchors, region proposals, envelopes).
     """
-    ix = min(a.cx + 0.5 * a.l, b.cx + 0.5 * b.l) - max(a.cx - 0.5 * a.l, b.cx - 0.5 * b.l)
-    if ix <= 0.0:
-        return 0.0
-    iy = min(a.cy + 0.5 * a.w, b.cy + 0.5 * b.w) - max(a.cy - 0.5 * a.w, b.cy - 0.5 * b.w)
-    if iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.l * a.w + b.l * b.w - inter
-    return inter / union if union > 0.0 else 0.0
+    return float(iou_aa(box_extents([a]), box_extents([b]))[0, 0])
 
 
 def iou_bev_rotated(a: Box3D, b: Box3D) -> float:
@@ -178,28 +196,19 @@ def nms_indices(boxes: Sequence[ScoredBox], iou_threshold: float,
     n = len(boxes)
     if n == 0:
         return []
-    x1 = np.array([sb.box.cx - 0.5 * sb.box.l for sb in boxes])
-    x2 = np.array([sb.box.cx + 0.5 * sb.box.l for sb in boxes])
-    y1 = np.array([sb.box.cy - 0.5 * sb.box.w for sb in boxes])
-    y2 = np.array([sb.box.cy + 0.5 * sb.box.w for sb in boxes])
-    area = (x2 - x1) * (y2 - y1)
+    ext = box_extents([sb.box for sb in boxes])
     scores = np.array([sb.score for sb in boxes])
 
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     kept: list[int] = []
+    suppressed = np.zeros(n, dtype=bool)
     for i in order:
         if keep_max is not None and len(kept) >= keep_max:
             break
-        if kept:
-            k = np.array(kept)
-            ix = np.minimum(x2[i], x2[k]) - np.maximum(x1[i], x1[k])
-            iy = np.minimum(y2[i], y2[k]) - np.maximum(y1[i], y1[k])
-            inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-            union = area[i] + area[k] - inter
-            iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-            if np.any(iou > iou_threshold):
-                continue
+        if suppressed[i]:
+            continue
         kept.append(i)
+        suppressed |= iou_aa(ext, ext[i:i + 1])[:, 0] > iou_threshold
     return kept
 
 

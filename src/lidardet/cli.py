@@ -170,8 +170,7 @@ def _write_pairs(records, fields, path) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    records = filter_confident(load_records(args.records),
-                               default_config()["analyze.min_score"])
+    records = filter_confident(load_records(args.records))
     if args.analysis == "tv-vs-distance":
         _write_binned(records, "distance", DEFAULT_DISTANCE_EDGES, args.out)
     elif args.analysis == "tv-vs-score":

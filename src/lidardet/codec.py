@@ -16,36 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxgeom import Box3D, bev_corners, wrap_angle
+from .boxgeom import Box3D, bev_corners, box_extents, iou_aa, wrap_angle
 from .errors import InsufficientData
 
 RPN_DIM = 6
 FRH_LOC_DIM = 10
 FRH_ORIENT_DIM = 2
-
-
-@dataclass
-class Anchor:
-    """Lattice anchor; ``orientation_bin`` of 90 swaps the footprint extents."""
-
-    cx: float
-    cy: float
-    cz: float
-    l: float
-    w: float
-    h: float
-    orientation_bin: int = 0
-
-    def __post_init__(self) -> None:
-        if self.orientation_bin not in (0, 90):
-            raise ValueError(f"orientation_bin must be 0 or 90, got {self.orientation_bin}")
-        if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError("anchor dimensions must be positive")
-
-    def as_box(self) -> Box3D:
-        if self.orientation_bin == 90:
-            return Box3D(self.cx, self.cy, self.cz, self.w, self.l, self.h, 0.0)
-        return Box3D(self.cx, self.cy, self.cz, self.l, self.w, self.h, 0.0)
 
 
 def kmeans_anchor_dims(gt_dims, k: int = 2, seed: int = 0, max_iter: int = 100) -> np.ndarray:
@@ -192,25 +168,6 @@ class Assignment:
     matched_gt_index: Optional[int]
 
 
-def iou_matrix_aa(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
-    """Pairwise axis-aligned BEV IoU, shape (len(a), len(b))."""
-    if len(boxes_a) == 0 or len(boxes_b) == 0:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    ax1 = np.array([b.cx - 0.5 * b.l for b in boxes_a])[:, None]
-    ax2 = np.array([b.cx + 0.5 * b.l for b in boxes_a])[:, None]
-    ay1 = np.array([b.cy - 0.5 * b.w for b in boxes_a])[:, None]
-    ay2 = np.array([b.cy + 0.5 * b.w for b in boxes_a])[:, None]
-    bx1 = np.array([b.cx - 0.5 * b.l for b in boxes_b])[None, :]
-    bx2 = np.array([b.cx + 0.5 * b.l for b in boxes_b])[None, :]
-    by1 = np.array([b.cy - 0.5 * b.w for b in boxes_b])[None, :]
-    by2 = np.array([b.cy + 0.5 * b.w for b in boxes_b])[None, :]
-    ix = np.clip(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0, None)
-    iy = np.clip(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0, None)
-    inter = ix * iy
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-
-
 def assign(candidates: Sequence[Box3D], gts: Sequence[Box3D],
            pos_threshold: float, neg_threshold: float) -> list[Assignment]:
     """Threshold candidates into positive/negative/ignore by max AA IoU.
@@ -224,7 +181,7 @@ def assign(candidates: Sequence[Box3D], gts: Sequence[Box3D],
         raise ValueError(f"pos_threshold {pos_threshold} must be >= neg_threshold {neg_threshold}")
     if len(gts) == 0:
         return [Assignment(AssignLabel.NEGATIVE, None) for _ in candidates]
-    iou = iou_matrix_aa(candidates, gts)
+    iou = iou_aa(box_extents(candidates), box_extents(gts))
     best = iou.argmax(axis=1)
     best_iou = iou[np.arange(len(candidates)), best]
     out = []

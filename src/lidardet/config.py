@@ -1,21 +1,58 @@
 """Flat text configuration for the command-line pipeline.
 
 Files hold ``key = value`` lines with ``#`` comments. Keys are dotted
-into sections; every key has a default, and the default's type decides
-how the value parses. Unknown keys and malformed values raise
-ConfigError so typos cannot silently fall back.
+into sections. The ``train.*``, ``infer.*`` and ``scene.*`` keys and
+``anchor.stride``/``anchor.z_center`` are the fields of TrainConfig,
+InferConfig, SceneSpec and AnchorLayout and take the dataclasses' own
+defaults; a tuple field such as ``SceneSpec.dim_mean`` is an (l, w, h)
+triple with one key per element (``scene.dim_mean_l``). Only the keys
+no dataclass defaults are listed here: ``seed`` (it feeds both
+TrainConfig and SceneSpec), the RangeSpec fields ``raster.*``,
+``anchor.clusters`` and the ``assign.*`` matching thresholds. Every key
+has a default, and the default's type decides how the value parses.
+Unknown keys and malformed values raise ConfigError so typos cannot
+silently fall back.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields
 
 from .bevraster import RangeSpec
 from .errors import ConfigError
 from .model import AnchorLayout, InferConfig, TrainConfig
 from .synthgen import SceneSpec
 
+# Each config dataclass: its key prefix and the fields that take no key.
+_SECTIONS = {
+    RangeSpec: ("raster", ()),
+    AnchorLayout: ("anchor", ("shapes",)),
+    TrainConfig: ("train", ("seed",)),
+    InferConfig: ("infer", ()),
+    SceneSpec: ("scene", ("seed", "range_spec")),
+}
+
+
+def _field_keys(cls) -> list:
+    """(field, keys) per configurable field; a tuple field gets _l/_w/_h keys."""
+    prefix, skip = _SECTIONS[cls]
+    return [(f, tuple(f"{prefix}.{f.name}_{s}" for s in "lwh")
+             if isinstance(f.default, tuple) else (f"{prefix}.{f.name}",))
+            for f in fields(cls) if f.name not in skip]
+
+
+def _field_defaults() -> dict:
+    out = {}
+    for cls in _SECTIONS:
+        for f, keys in _field_keys(cls):
+            if f.default is not MISSING:
+                out.update(zip(keys, f.default if len(keys) > 1 else (f.default,)))
+    return out
+
+
 DEFAULTS = {
     "seed": 0,
-    # grid geometry
+    # grid geometry (RangeSpec has no defaults)
     "raster.x_min": 0.0,
     "raster.x_max": 70.0,
     "raster.y_min": -40.0,
@@ -25,75 +62,14 @@ DEFAULTS = {
     "raster.xy_resolution": 0.1,
     "raster.num_slices": 5,
     "raster.slice_height": 0.5,
-    # anchor lattice
-    "anchor.stride": 4,
-    "anchor.z_center": 0.8,
+    # anchor dimension clusters
     "anchor.clusters": 2,
     # matching thresholds
     "assign.rpn_pos": 0.5,
     "assign.rpn_neg": 0.3,
     "assign.frh_pos": 0.65,
     "assign.frh_neg": 0.55,
-    # inference
-    "infer.pre_nms_top": 512,
-    "infer.nms_threshold": 0.8,
-    "infer.proposal_count": 64,
-    "infer.final_nms_threshold": 0.3,
-    "infer.score_min": 0.05,
-    # optimization
-    "train.learning_rate": 1e-4,
-    "train.decay_factor": 0.8,
-    "train.decay_every": 2000,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
-    "train.dropout_rate": 0.5,
-    "train.weight_decay": 5e-4,
-    "train.phase1_steps": 2000,
-    "train.phase2_steps": 6000,
-    "train.hidden1": 64,
-    "train.hidden2": 128,
-    "train.pool_blocks": 3,
-    "train.form": "gaussian",
-    "train.pos_cap": 32,
-    "train.neg_per_scene": 32,
-    "train.roi_jitter": 3,
-    "train.roi_negatives": 12,
-    "train.rpn_noise_scale": 1.0,
-    "train.loc_noise_scale": 1.0,
-    "train.orient_noise_scale": 1.0,
-    "train.outlier_prob": 0.15,
-    "train.outlier_scale": 3.0,
-    "train.loc_bias": 0.0,
-    "train.orient_snap": 2.0,
-    # scene generation
-    "scene.num_cars": 8,
-    "scene.x_min": 6.0,
-    "scene.x_max": 52.0,
-    "scene.y_min": -18.0,
-    "scene.y_max": 18.0,
-    "scene.dim_mean_l": 4.2,
-    "scene.dim_mean_w": 1.8,
-    "scene.dim_mean_h": 1.6,
-    "scene.dim_std_l": 0.25,
-    "scene.dim_std_w": 0.1,
-    "scene.dim_std_h": 0.08,
-    "scene.p_base": 0.8,
-    "scene.point_budget": 400,
-    "scene.ref_distance": 10.0,
-    "scene.density_exponent": 2.0,
-    "scene.occlusion": True,
-    "scene.jitter_sigma": 0.03,
-    "scene.noise_base": 0.02,
-    "scene.noise_distance": 0.08,
-    "scene.noise_angle": 0.04,
-    "scene.noise_occlusion": 0.08,
-    "scene.noise_ref_distance": 40.0,
-    # evaluation / analysis
-    "eval.iou": 0.7,
-    "eval.metric": "bev",
-    "eval.forty_point": False,
-    "analyze.min_score": 0.5,
+    **_field_defaults(),
 }
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
@@ -149,71 +125,30 @@ def load_config(path) -> dict:
         return parse_config(fh.read(), source=str(path))
 
 
+def _make(cls, cfg: dict, **given):
+    """Build a section's dataclass from its keys plus the ``given`` fields."""
+    kwargs = {f.name: tuple(cfg[k] for k in keys) if len(keys) > 1 else cfg[keys[0]]
+              for f, keys in _field_keys(cls)}
+    return cls(**kwargs, **given)
+
+
 def make_range_spec(cfg: dict) -> RangeSpec:
-    return RangeSpec(cfg["raster.x_min"], cfg["raster.x_max"],
-                     cfg["raster.y_min"], cfg["raster.y_max"],
-                     cfg["raster.z_min"], cfg["raster.z_max"],
-                     cfg["raster.xy_resolution"], cfg["raster.num_slices"],
-                     cfg["raster.slice_height"])
+    return _make(RangeSpec, cfg)
 
 
 def make_scene_spec(cfg: dict, seed=None) -> SceneSpec:
-    return SceneSpec(
-        num_cars=cfg["scene.num_cars"],
-        x_min=cfg["scene.x_min"], x_max=cfg["scene.x_max"],
-        y_min=cfg["scene.y_min"], y_max=cfg["scene.y_max"],
-        dim_mean=(cfg["scene.dim_mean_l"], cfg["scene.dim_mean_w"],
-                  cfg["scene.dim_mean_h"]),
-        dim_std=(cfg["scene.dim_std_l"], cfg["scene.dim_std_w"],
-                 cfg["scene.dim_std_h"]),
-        p_base=cfg["scene.p_base"],
-        point_budget=cfg["scene.point_budget"],
-        ref_distance=cfg["scene.ref_distance"],
-        density_exponent=cfg["scene.density_exponent"],
-        occlusion=cfg["scene.occlusion"],
-        jitter_sigma=cfg["scene.jitter_sigma"],
-        noise_base=cfg["scene.noise_base"],
-        noise_distance=cfg["scene.noise_distance"],
-        noise_angle=cfg["scene.noise_angle"],
-        noise_occlusion=cfg["scene.noise_occlusion"],
-        noise_ref_distance=cfg["scene.noise_ref_distance"],
-        seed=cfg["seed"] if seed is None else seed,
-        range_spec=make_range_spec(cfg))
+    return _make(SceneSpec, cfg, seed=cfg["seed"] if seed is None else seed,
+                 range_spec=make_range_spec(cfg))
 
 
 def make_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg["train.learning_rate"],
-        decay_factor=cfg["train.decay_factor"],
-        decay_every=cfg["train.decay_every"],
-        beta1=cfg["train.beta1"], beta2=cfg["train.beta2"], eps=cfg["train.eps"],
-        dropout_rate=cfg["train.dropout_rate"],
-        weight_decay=cfg["train.weight_decay"],
-        phase1_steps=cfg["train.phase1_steps"],
-        phase2_steps=cfg["train.phase2_steps"],
-        seed=cfg["seed"],
-        hidden1=cfg["train.hidden1"], hidden2=cfg["train.hidden2"],
-        pool_blocks=cfg["train.pool_blocks"],
-        form=cfg["train.form"],
-        pos_cap=cfg["train.pos_cap"], neg_per_scene=cfg["train.neg_per_scene"],
-        roi_jitter=cfg["train.roi_jitter"], roi_negatives=cfg["train.roi_negatives"],
-        rpn_noise_scale=cfg["train.rpn_noise_scale"],
-        loc_noise_scale=cfg["train.loc_noise_scale"],
-        orient_noise_scale=cfg["train.orient_noise_scale"],
-        outlier_prob=cfg["train.outlier_prob"],
-        outlier_scale=cfg["train.outlier_scale"],
-        loc_bias=cfg["train.loc_bias"],
-        orient_snap=cfg["train.orient_snap"])
+    return _make(TrainConfig, cfg, seed=cfg["seed"])
 
 
 def make_infer_config(cfg: dict) -> InferConfig:
-    return InferConfig(pre_nms_top=cfg["infer.pre_nms_top"],
-                       nms_threshold=cfg["infer.nms_threshold"],
-                       proposal_count=cfg["infer.proposal_count"],
-                       final_nms_threshold=cfg["infer.final_nms_threshold"],
-                       score_min=cfg["infer.score_min"])
+    return _make(InferConfig, cfg)
 
 
 def make_layout(cfg: dict, shapes) -> AnchorLayout:
-    return AnchorLayout(shapes=tuple(tuple(float(v) for v in s) for s in shapes),
-                        stride=cfg["anchor.stride"], z_center=cfg["anchor.z_center"])
+    return _make(AnchorLayout, cfg,
+                 shapes=tuple(tuple(float(v) for v in s) for s in shapes))

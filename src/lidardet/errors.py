@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-field check
+every validated dataclass runs first."""
+
+import math
+from dataclasses import fields
 
 
 class FormatError(ValueError):
@@ -43,3 +47,13 @@ class DegenerateInput(ValueError):
 
 class BadEdges(ValueError):
     """Bin edges must be strictly increasing."""
+
+
+def require_finite(spec, error: type) -> None:
+    """Raise ``error`` naming the first float field of a dataclass (or float
+    element of a tuple field) that is nan or infinite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise error(f"{f.name} must be finite, got {v!r}")

@@ -32,10 +32,11 @@ from typing import Optional
 import numpy as np
 
 from .bevraster import BevGrid, RangeSpec, rasterize
-from .boxgeom import Box3D, ScoredBox, aa_envelope, nms_indices
+from .boxgeom import (Box3D, ScoredBox, aa_envelope, aa_extents, box_extents, iou_aa,
+                      nms_indices)
 from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, AssignLabel, assign,
                     decode_frh, decode_rpn, encode_frh, encode_rpn)
-from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError
+from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError, require_finite
 from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
                      attenuated_term, cross_entropy, multi_loss, smooth_l1)
 
@@ -112,6 +113,7 @@ class AnchorLayout:
     z_center: float = 0.8  # anchor center height
 
     def __post_init__(self) -> None:
+        require_finite(self, ValueError)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not self.shapes:
@@ -251,7 +253,8 @@ class ModelParams:
     ``flat`` holds all weight matrices first, so decoupled weight decay is
     the slice ``flat[:n_weights]``. ``views`` lists the arrays in blob
     order; ``stage1`` and ``stage2`` hold the same views per stage.
-    Gradients live in a second instance (``zeros_like``).
+    Gradients live in a second instance (``zeros_like``) that training
+    allocates once and every step overwrites.
     """
 
     def __init__(self, feat_len: int, hidden1: int, hidden2: int,
@@ -505,10 +508,7 @@ class TrainConfig:
     orient_snap: float = 2.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        require_finite(self, ValueError)
         for name in ("learning_rate", "decay_factor", "beta1", "beta2", "eps"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -587,9 +587,11 @@ class StepBatch:
     frh_orient: np.ndarray  # (M, 2)
 
 
-def run_batch(params: ModelParams, batch: StepBatch, cfg: TrainConfig, step: int,
-              attenuate: bool, train_mode: bool = True):
-    """Loss and parameter gradients (a zeros_like of params) for one step.
+def run_batch(params: ModelParams, grads: ModelParams, batch: StepBatch,
+              cfg: TrainConfig, step: int, attenuate: bool,
+              train_mode: bool = True) -> LossBreakdown:
+    """Loss of one step; its parameter gradients overwrite every view of
+    ``grads`` (a ``zeros_like`` of params, reused across steps).
 
     Dropout masks are regenerated from (seed, step, stage), so repeated
     calls at the same step see identical masks.
@@ -607,12 +609,11 @@ def run_batch(params: ModelParams, batch: StepBatch, cfg: TrainConfig, step: int
                           frh_loc=batch.frh_loc, frh_orient=batch.frh_orient,
                           frh_cls=batch.frh_cls)
     breakdown, g = multi_loss(outputs, targets, form=cfg.form, attenuate=attenuate)
-    grads = params.zeros_like()
     stage1_backward(params.stage1, cache1, grads.stage1,
                     *[getattr(g, name) for name in STAGE1_OUTPUTS])
     stage2_backward(params.stage2, cache2, grads.stage2,
                     *[getattr(g, name) for name in STAGE2_OUTPUTS])
-    return breakdown, grads
+    return breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +664,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
     second-stage thresholds; positive rows encode the true rotated box.
     """
     aset = build_anchor_set(layout, spec)
-    anchor_x1 = aset.cx - 0.5 * aset.l
-    anchor_x2 = aset.cx + 0.5 * aset.l
-    anchor_y1 = aset.cy - 0.5 * aset.w
-    anchor_y2 = aset.cy + 0.5 * aset.w
-    anchor_area = aset.l * aset.w
+    anchor_ext = aa_extents(aset.cx, aset.cy, aset.l, aset.w)
     packs = []
     for scene_idx, scene in enumerate(scenes):
         rng = np.random.default_rng([cfg.seed, 2, scene_idx])
@@ -677,28 +674,13 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
             else np.zeros(0)
 
         # stage 1: anchor pool against truth envelopes
-        if envs:
-            iou = np.zeros((len(aset), len(envs)))
-            for j, e in enumerate(envs):
-                gx1, gx2 = e.cx - 0.5 * e.l, e.cx + 0.5 * e.l
-                gy1, gy2 = e.cy - 0.5 * e.w, e.cy + 0.5 * e.w
-                ix = np.clip(np.minimum(anchor_x2, gx2) - np.maximum(anchor_x1, gx1),
-                             0.0, None)
-                iy = np.clip(np.minimum(anchor_y2, gy2) - np.maximum(anchor_y1, gy1),
-                             0.0, None)
-                inter = ix * iy
-                iou[:, j] = inter / (anchor_area + e.l * e.w - inter)
-            best_gt = iou.argmax(axis=1)
-            best_iou = iou[np.arange(len(aset)), best_gt]
-        else:
-            best_gt = np.zeros(len(aset), dtype=np.int64)
-            best_iou = np.zeros(len(aset))
+        iou = iou_aa(anchor_ext, box_extents(envs))
+        best_iou = iou.max(axis=1, initial=0.0)
 
         pos = [int(i) for i in np.argsort(-best_iou, kind="stable")
                if best_iou[i] >= rpn_pos][:cfg.pos_cap]
         forced = set(pos)
-        for j in range(len(envs)):
-            a = int(iou[:, j].argmax())
+        for j, a in enumerate(iou.argmax(axis=0).tolist()):
             if iou[a, j] > 0.0 and a not in forced:
                 forced.add(a)
                 pos.append(a)
@@ -712,7 +694,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         rpn_reg = np.zeros((len(sel), RPN_DIM))
         rpn_sigma = np.zeros(len(sel))
         for row, a in enumerate(pos):
-            j = int(best_gt[a]) if best_iou[a] > 0.0 else int(np.argmax(iou[a]))
+            j = int(iou[a].argmax())
             rpn_reg[row] = encode_rpn(aset.box(a), envs[j])
             rpn_sigma[row] = sigmas[j]
 
@@ -831,13 +813,14 @@ def train(training_set: TrainingSet, cfg: TrainConfig, layout: AnchorLayout):
         raise ValueError("training set must be nonempty")
     params = init_params(cfg, training_set.feat_len, layout)
     state = init_adam(params)
+    grads = params.zeros_like()
     batches = [apply_label_noise(p, cfg, i)
                for i, p in enumerate(training_set.packs)]
     log = []
     for step in range(cfg.phase1_steps + cfg.phase2_steps):
         batch = batches[step % len(batches)]
         attenuate = step >= cfg.phase1_steps
-        breakdown, grads = run_batch(params, batch, cfg, step, attenuate)
+        breakdown = run_batch(params, grads, batch, cfg, step, attenuate)
         if not math.isfinite(breakdown.total):
             raise DivergenceError(f"non-finite loss at step {step}")
         adam_step(params, grads, state, cfg, step)
@@ -1121,11 +1104,12 @@ def _check_end_to_end(seed: int, rtol: float, train_mode: bool) -> list:
             arr += rng.normal(0, 0.05, arr.shape)
     batch = _random_step_batch(rng, feat_len)
     step = 3
-    _, grads = run_batch(params, batch, cfg, step, attenuate=True, train_mode=train_mode)
+    grads, scratch = params.zeros_like(), params.zeros_like()
+    run_batch(params, grads, batch, cfg, step, attenuate=True, train_mode=train_mode)
     return _check_arrays(
         [(name, arr, grads.views[name]) for name, arr in params.views.items()],
-        lambda: run_batch(params, batch, cfg, step, attenuate=True,
-                          train_mode=train_mode)[0].total, rtol,
+        lambda: run_batch(params, scratch, batch, cfg, step, attenuate=True,
+                          train_mode=train_mode).total, rtol,
         f"end-to-end gradient {{}} (train_mode={train_mode})")
 
 

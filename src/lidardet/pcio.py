@@ -12,11 +12,10 @@ not consumed anywhere downstream.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List
+from typing import TYPE_CHECKING, Iterable, List
 
 import numpy as np
 
@@ -27,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .bevraster import RangeSpec
 
 RECORD_BYTES = 16
-
-Point = namedtuple("Point", ["x", "y", "z", "intensity"])
 
 
 @dataclass
@@ -48,9 +45,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return (Point(*map(float, row)) for row in self.points)
 
     @property
     def x(self) -> np.ndarray:

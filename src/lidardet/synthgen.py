@@ -25,7 +25,7 @@ import numpy as np
 
 from .bevraster import RangeSpec
 from .boxgeom import Box3D, bev_corners, intersection_area_bev
-from .errors import PlacementError
+from .errors import PlacementError, require_finite
 from .pcio import (Difficulty, GroundTruthObject, ObjectClass, PointCloud,
                    load_cloud, load_labels, save_cloud, save_labels)
 from .uncstats import base_angle_offset
@@ -70,6 +70,7 @@ class SceneSpec:
     range_spec: RangeSpec = DEFAULT_SCENE_RANGE
 
     def __post_init__(self) -> None:
+        require_finite(self, ValueError)
         if self.num_cars < 0:
             raise ValueError(f"num_cars must be >= 0, got {self.num_cars}")
         if not 0.0 <= self.p_base <= 1.0:

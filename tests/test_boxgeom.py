@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lidardet.boxgeom import (Box3D, ScoredBox, aa_envelope, bev_corners,
-                              intersection_area_bev, iou_3d, iou_bev_aa,
-                              iou_bev_rotated, nms, nms_indices, polygon_area,
-                              wrap_angle)
+                              box_extents, intersection_area_bev, iou_3d,
+                              iou_bev_aa, iou_bev_rotated, nms, nms_indices,
+                              polygon_area, wrap_angle)
 
 
 def mc_iou_bev(a, b, rng, samples=400_000):
@@ -216,6 +216,18 @@ class TestEnvelope:
             box = random_box(rng)
             env = aa_envelope(box)
             assert env.l * env.w >= box.l * box.w - 1e-9
+
+
+class TestAxisAlignedIoU:
+    def test_extents_are_x1_x2_y1_y2(self):
+        np.testing.assert_array_equal(box_extents([Box3D(1, 2, 0, 4, 2, 1, 0.3)]),
+                                      [[-1.0, 3.0, 1.0, 3.0]])
+
+    def test_hand_cases_ignore_yaw(self):
+        a = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
+        assert iou_bev_aa(a, Box3D(0.5, 0, 0.8, 4, 2, 1.5, 0.7)) == pytest.approx(7 / 9)
+        assert iou_bev_aa(a, Box3D(5, 0, 0.8, 4, 2, 1.5, 0.0)) == 0.0
+        assert iou_bev_aa(a, a) == 1.0
 
 
 class TestScoredBox:

@@ -1,14 +1,17 @@
 """Command-line pipeline and flat-config parsing."""
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import lidardet.cli as cli
 from lidardet.bevraster import read_grid
 from lidardet.cli import run
-from lidardet.config import (default_config, load_config, make_infer_config,
-                             make_range_spec, make_scene_spec,
-                             make_train_config, parse_config)
+from lidardet.config import (DEFAULTS, default_config, load_config,
+                             make_infer_config, make_layout, make_range_spec,
+                             make_scene_spec, make_train_config, parse_config)
 from lidardet.errors import ConfigError
 from lidardet.model import InferConfig, TrainConfig, load_detections
 from lidardet.uncstats import load_records
@@ -214,6 +217,97 @@ class TestBoundaries:
         assert not (tmp_path / "m.bin").exists()
 
 
+    @pytest.mark.parametrize("line, field", [
+        ("raster.x_max = inf", "x_max"), ("scene.noise_base = nan", "noise_base"),
+        ("raster.slice_height = nan", "slice_height"),
+        ("scene.dim_mean_w = -inf", "dim_mean")])
+    def test_non_finite_spec(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run(["synth", "--spec", str(cfg), "--count", "1",
+                    "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert f"{field} must be finite" in self._one_line_error(capsys)
+        assert not (tmp_path / "s").exists()
+
+
+# Where a section's keys land: the dataclass its maker builds.
+MAKERS = {"raster": make_range_spec, "scene": make_scene_spec,
+          "train": make_train_config, "infer": make_infer_config,
+          "anchor": lambda cfg: make_layout(cfg, [(4.0, 1.8, 1.5)])}
+
+# Changes that a generic bump would make invalid, with the companion keys
+# the cross-field checks need.
+CHANGED = {
+    "raster.z_min": "raster.z_min = 0.5\nraster.z_max = 3.0",
+    "raster.z_max": "raster.z_max = 3.0\nraster.num_slices = 6",
+    "raster.num_slices": "raster.num_slices = 10\nraster.slice_height = 0.25",
+    "raster.slice_height": "raster.slice_height = 0.25\nraster.num_slices = 10",
+    "train.form": "train.form = laplace",
+    "assign.rpn_pos": "assign.rpn_pos = 0.6", "assign.rpn_neg": "assign.rpn_neg = 0.2",
+    "assign.frh_pos": "assign.frh_pos = 0.7", "assign.frh_neg": "assign.frh_neg = 0.5",
+}
+
+
+def changed_text(key):
+    """Config text setting ``key`` to a valid value other than its default."""
+    if key in CHANGED:
+        return CHANGED[key]
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        return f"{key} = {not default}"
+    if isinstance(default, int):
+        return f"{key} = {default + 1}"
+    return f"{key} = {default / 2 if default else 0.5!r}"
+
+
+class _Seen(Exception):
+    """Ends a faked training run once its arguments are recorded."""
+
+
+def train_arguments(workspace, tmp_path, monkeypatch, text):
+    """What `train` passes to anchor clustering and pool building."""
+    seen = {}
+
+    def kmeans(dims, k, seed):
+        seen["anchor.clusters"] = k
+        return np.full((k, 3), 2.0)
+
+    def build(scenes, layout, spec, tcfg, **thresholds):
+        seen.update({f"assign.{name}": v for name, v in thresholds.items()})
+        raise _Seen
+    monkeypatch.setattr(cli, "kmeans_anchor_dims", kmeans)
+    monkeypatch.setattr(cli, "build_training_set", build)
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(text + "\n")
+    with pytest.raises(_Seen):
+        run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+             "--out-params", str(tmp_path / "m.bin"), "--log", str(tmp_path / "l.csv")])
+    return seen
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_every_key_takes_effect(key, request, tmp_path, monkeypatch):
+    """A key that parses but reaches no field or call would be dead."""
+    text = changed_text(key)
+    cfg = parse_config(text)
+    assert cfg[key] != DEFAULTS[key]
+    section, _, name = key.partition(".")
+    obj = MAKERS[section](cfg) if section in MAKERS else None
+    names = {f.name for f in fields(obj)} if obj is not None else set()
+    if key == "seed":
+        landed = [make_train_config(cfg).seed, make_scene_spec(cfg).seed]
+    elif name in names:
+        landed = [getattr(obj, name)]
+    elif name[:-2] in names and name[-2:] in ("_l", "_w", "_h"):
+        landed = [getattr(obj, name[:-2])["lwh".index(name[-1])]]
+    else:
+        seen = train_arguments(request.getfixturevalue("workspace"), tmp_path,
+                               monkeypatch, text)
+        landed = [seen.get(key)]
+    assert landed == [cfg[key]] * len(landed)
+
+
 class TestConfig:
     def test_defaults_are_complete(self):
         cfg = default_config()
@@ -240,6 +334,11 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("nope.key = 1\n")
+
+    def test_evaluation_keys_are_gone(self):
+        # eval and analyze take their settings from argv and library defaults
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("eval.iou = 0.5\n")
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="train.phase1_steps"):

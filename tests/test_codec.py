@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lidardet.boxgeom import Box3D, iou_bev_rotated
-from lidardet.codec import (Anchor, AssignLabel, FRH_LOC_DIM, FRH_ORIENT_DIM,
-                            RPN_DIM, assign, decode_frh, decode_rpn,
-                            encode_frh, encode_rpn, iou_matrix_aa,
-                            kmeans_anchor_dims)
+from lidardet.boxgeom import Box3D, box_extents, iou_aa, iou_bev_rotated
+from lidardet.codec import (AssignLabel, FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM,
+                            assign, decode_frh, decode_rpn, encode_frh,
+                            encode_rpn, kmeans_anchor_dims)
 from lidardet.errors import InsufficientData
 
 
@@ -124,17 +123,6 @@ class TestFrhCodec:
             assert iou_bev_rotated(back, gt) > 1.0 - 1e-9
 
 
-class TestAnchor:
-    def test_bin90_swaps_footprint(self):
-        a = Anchor(1, 2, 0.8, 4.2, 1.8, 1.6, orientation_bin=90)
-        box = a.as_box()
-        assert (box.l, box.w) == (1.8, 4.2)
-
-    def test_bad_bin_rejected(self):
-        with pytest.raises(ValueError):
-            Anchor(0, 0, 0.8, 4, 2, 1.5, orientation_bin=45)
-
-
 class TestKmeans:
     def test_recovers_two_separated_modes(self):
         rng = np.random.default_rng(400)
@@ -163,7 +151,7 @@ class TestIouMatrix:
         rng = np.random.default_rng(500)
         xs = [random_yaw_free(rng, 5.0) for _ in range(12)]
         ys = [random_yaw_free(rng, 5.0) for _ in range(9)]
-        mat = iou_matrix_aa(xs, ys)
+        mat = iou_aa(box_extents(xs), box_extents(ys))
         assert mat.shape == (12, 9)
         for i, a in enumerate(xs):
             for j, b in enumerate(ys):
@@ -176,9 +164,9 @@ class TestIouMatrix:
                 assert mat[i, j] == pytest.approx(inter / union, abs=1e-12)
 
     def test_empty_inputs(self):
-        assert iou_matrix_aa([], []).shape == (0, 0)
+        assert iou_aa(box_extents([]), box_extents([])).shape == (0, 0)
         box = Box3D(0, 0, 0, 2, 2, 1, 0)
-        assert iou_matrix_aa([box], []).shape == (1, 0)
+        assert iou_aa(box_extents([box]), box_extents([])).shape == (1, 0)
 
 
 class TestAssign:

@@ -183,6 +183,8 @@ class TestAnchors:
             AnchorLayout(shapes=((4, 2, 1.5),), stride=0)
         with pytest.raises(ValueError):
             AnchorLayout(shapes=())
+        with pytest.raises(ValueError, match="z_center must be finite"):
+            AnchorLayout(shapes=((4, 2, 1.5),), z_center=math.nan)
 
 
 class TestForwardBackward:
@@ -572,17 +574,12 @@ class TestRunBatch:
     CFG = TrainConfig(seed=1, hidden1=8, hidden2=9)
     LAYOUT = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
 
-    def test_baseline_ignores_log_variance_heads(self, monkeypatch):
-        zeros_like = ModelParams.zeros_like
-
-        def nan_filled(params):  # so the zero checks prove backward wrote zeros
-            grads = zeros_like(params)
-            grads.flat[:] = np.nan
-            return grads
-        monkeypatch.setattr(ModelParams, "zeros_like", nan_filled)
+    def test_baseline_ignores_log_variance_heads(self):
         params = init_params(self.CFG, 12, self.LAYOUT)
+        grads = params.zeros_like()
+        grads.flat[:] = np.nan  # so the zero checks prove backward wrote zeros
         batch = random_batch(np.random.default_rng(3), 12)
-        _, grads = run_batch(params, batch, self.CFG, 0, attenuate=False)
+        run_batch(params, grads, batch, self.CFG, 0, attenuate=False)
         assert not grads.stage1.w_lv.any() and not grads.stage1.b_lv.any()
         assert not grads.stage2.w_loc_lv.any() and not grads.stage2.w_orient_lv.any()
         assert np.isfinite(grads.flat).all()
@@ -591,8 +588,10 @@ class TestRunBatch:
         # log-variance heads start at zero, where both objectives coincide
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(4), 12)
-        base, b = run_batch(params, batch, self.CFG, 2, attenuate=False)
-        att, a = run_batch(params, batch, self.CFG, 2, attenuate=True)
+        a, b = params.zeros_like(), params.zeros_like()
+        b.flat[:] = a.flat[:] = np.nan
+        base = run_batch(params, b, batch, self.CFG, 2, attenuate=False)
+        att = run_batch(params, a, batch, self.CFG, 2, attenuate=True)
         assert att.total == pytest.approx(base.total, rel=1e-12)
         assert att.rpn_reg == pytest.approx(base.rpn_reg, rel=1e-12)
         np.testing.assert_allclose(a.stage1.w_reg, b.stage1.w_reg, atol=1e-12)
@@ -600,17 +599,19 @@ class TestRunBatch:
     def test_dropout_replays_per_step(self):
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(5), 12)
-        a, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
-        b, _ = run_batch(params, batch, self.CFG, 7, attenuate=True)
-        c, _ = run_batch(params, batch, self.CFG, 8, attenuate=True)
+        grads = params.zeros_like()
+        a = run_batch(params, grads, batch, self.CFG, 7, attenuate=True)
+        b = run_batch(params, grads, batch, self.CFG, 7, attenuate=True)
+        c = run_batch(params, grads, batch, self.CFG, 8, attenuate=True)
         assert a.total == b.total
         assert a.total != c.total
 
     def test_eval_mode_disables_dropout(self):
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(6), 12)
-        a, _ = run_batch(params, batch, self.CFG, 1, True, train_mode=False)
-        b, _ = run_batch(params, batch, self.CFG, 2, True, train_mode=False)
+        grads = params.zeros_like()
+        a = run_batch(params, grads, batch, self.CFG, 1, True, train_mode=False)
+        b = run_batch(params, grads, batch, self.CFG, 2, True, train_mode=False)
         assert a.total == b.total
 
 
