@@ -7,8 +7,9 @@
 #   scripts/pipeline_diff.sh <git-ref>
 #
 # Exits 0 when all artifacts are identical, 1 when any differ, 2 on a
-# usage or pipeline error. The ref is exported with `git archive` into a
-# temporary directory (under $TMPDIR), which is removed on exit.
+# usage or pipeline error. For each differing text file it also prints the
+# first 20 lines of its `diff -u`. The ref is exported with `git archive`
+# into a temporary directory (under $TMPDIR), which is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -57,6 +58,13 @@ files=$(find "$tmp/work" -type f | wc -l)
 if diff -rq "$tmp/ref" "$tmp/work"; then
     echo "identical: $files files from $ref and the working tree"
 else
+    (cd "$tmp/work" && find . -type f | sort) | while read -r f; do
+        a=$tmp/ref/$f b=$tmp/work/$f
+        if [ -f "$a" ] && ! cmp -s "$a" "$b" && grep -Iq . "$a" "$b"; then
+            diff -u --label "$ref:${f#./}" --label "work:${f#./}" "$a" "$b" \
+                | head -n 20 || true
+        fi
+    done
     echo "artifacts differ between $ref and the working tree" >&2
     exit 1
 fi

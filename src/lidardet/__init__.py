@@ -26,7 +26,7 @@ from .model import (AnchorLayout, Detection, InferConfig, ModelParams,
                     build_training_set, detect_scenes, featurize, gradcheck,
                     infer, init_params, load_params, save_params, train)
 from .pcio import (Difficulty, GroundTruthObject, ObjectClass, PointCloud,
-                   crop_range, load_cloud, load_labels, save_cloud, save_labels)
+                   load_cloud, load_labels, save_cloud, save_labels)
 from .synthgen import (ObjectNoise, SceneSpec, SyntheticScene, difficulty_of,
                        generate, generate_scenes, load_scene, save_scene)
 from .uncstats import (BinStat, UncertaintyRecord, base_angle_offset,

@@ -71,13 +71,6 @@ class RangeSpec:
     def n_cols(self) -> int:
         return _integral(self.y_max - self.y_min, self.xy_resolution, "y")
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        """World (x, y) of a cell center; IndexError when out of bounds."""
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise IndexError(f"cell ({row}, {col}) outside {self.n_rows}x{self.n_cols} grid")
-        return (self.x_min + (row + 0.5) * self.xy_resolution,
-                self.y_min + (col + 0.5) * self.xy_resolution)
-
 
 @dataclass
 class BevGrid:

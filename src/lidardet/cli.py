@@ -9,7 +9,6 @@ for identical invocations. Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .errors import DegenerateInput
 from .metrics import evaluate
 from .model import (build_training_set, gradcheck, infer, load_detections,
                     load_params, save_detections, save_log, save_params, train)
-from .pcio import load_cloud, load_labels
+from .pcio import load_cloud, load_labels, write_table
 from .synthgen import generate_scenes, load_scene, save_scene, scene_names
 from .uncstats import (DEFAULT_ANGLE_EDGES, DEFAULT_DISTANCE_EDGES,
                        DEFAULT_SCORE_EDGES, DEFAULT_TV_EDGES, BIN_VALUES,
@@ -133,34 +132,22 @@ def _cmd_eval(args) -> int:
             print(f"AP_{args.metric}@{args.iou:g} {name} "
                   f"{result.by_difficulty[name]:.6f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["recall", "precision"])
-            for r, p in zip(result.recalls, result.precisions):
-                writer.writerow([repr(float(r)), repr(float(p))])
+        write_table(args.out, ("recall", "precision"),
+                    zip(result.recalls, result.precisions))
     return 0
 
 
 def _write_binned(records, key, edges, path) -> None:
     per_value = {v: binned_means(records, key, edges, value=v) for v in BIN_VALUES}
-    first = per_value[BIN_VALUES[0]]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lo", "hi", "count"] + [f"{v}_mean" for v in BIN_VALUES])
-        for i, stat in enumerate(first):
-            row = [repr(stat.lo), repr(stat.hi), stat.count]
-            for v in BIN_VALUES:
-                mean = per_value[v][i].mean
-                row.append("" if mean is None else repr(mean))
-            writer.writerow(row)
+    write_table(path, ["lo", "hi", "count"] + [f"{v}_mean" for v in BIN_VALUES],
+                ([stat.lo, stat.hi, stat.count]
+                 + [per_value[v][i].mean for v in BIN_VALUES]
+                 for i, stat in enumerate(per_value[BIN_VALUES[0]])))
 
 
 def _write_pairs(records, fields, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["det_id"] + list(fields))
-        for r in records:
-            writer.writerow([r.det_id] + [repr(getattr(r, f)) for f in fields])
+    write_table(path, ("det_id", *fields),
+                ([r.det_id] + [getattr(r, f) for f in fields] for r in records))
     xs = [getattr(r, fields[0]) for r in records]
     ys = [getattr(r, fields[1]) for r in records]
     try:
@@ -181,15 +168,10 @@ def _cmd_analyze(args) -> int:
         labeled = [r for r in records if r.difficulty]
         hists = difficulty_histogram(labeled) if labeled else {}
         edges = [-np.inf] + list(DEFAULT_TV_EDGES) + [np.inf]
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["difficulty", "lo", "hi", "count"])
-            for name in ("Easy", "Moderate", "Hard"):
-                if name not in hists:
-                    continue
-                for b, count in enumerate(hists[name]):
-                    writer.writerow([name, repr(float(edges[b])),
-                                     repr(float(edges[b + 1])), int(count)])
+        write_table(args.out, ("difficulty", "lo", "hi", "count"),
+                    ([name, edges[b], edges[b + 1], count]
+                     for name in ("Easy", "Moderate", "Hard") if name in hists
+                     for b, count in enumerate(hists[name])))
     elif args.analysis == "rpn-vs-frh":
         _write_pairs(records, ("rpn_tv", "frh_loc_tv"), args.out)
     else:

@@ -89,8 +89,8 @@ class EvalResult:
     by_difficulty: dict  # difficulty name -> ap over that subset
 
 
-def _sweep(dets_per_scene, gts_per_scene, iou_fn, threshold, difficulty):
-    """Pool per-scene matches into one score sweep.
+def _sweep(dets_per_scene, gts_per_scene, results, difficulty):
+    """Pool per-scene match results into one score sweep.
 
     With a difficulty filter, truths of other difficulties are ignored:
     detections matched to them count neither as hits nor as false
@@ -99,10 +99,9 @@ def _sweep(dets_per_scene, gts_per_scene, iou_fn, threshold, difficulty):
     num_gt = 0
     entries = []
     matches = []
-    for s, (dets, gts) in enumerate(zip(dets_per_scene, gts_per_scene)):
+    for s, (dets, gts, result) in enumerate(zip(dets_per_scene, gts_per_scene, results)):
         active = [difficulty is None or g.difficulty.value == difficulty for g in gts]
         num_gt += sum(active)
-        result = match(dets, [g.box for g in gts], iou_fn, threshold)
         matched = {i: (j, iou) for i, j, iou in result.matches}
         for i, det in enumerate(dets):
             hit = matched.get(i)
@@ -130,8 +129,9 @@ def evaluate(dets_per_scene, gts_per_scene, iou_fn: Callable, iou_threshold: flo
     """
     if len(dets_per_scene) != len(gts_per_scene):
         raise ValueError("detections and ground truths must pair per scene")
-    num_gt, scores, flags, matches = _sweep(
-        dets_per_scene, gts_per_scene, iou_fn, iou_threshold, None)
+    results = [match(dets, [g.box for g in gts], iou_fn, iou_threshold)
+               for dets, gts in zip(dets_per_scene, gts_per_scene)]
+    num_gt, scores, flags, matches = _sweep(dets_per_scene, gts_per_scene, results, None)
     if num_gt == 0:
         raise NoGroundTruth("no ground-truth objects in evaluation set")
     ap = average_precision(num_gt, scores, flags, forty_point)
@@ -141,7 +141,7 @@ def evaluate(dets_per_scene, gts_per_scene, iou_fn: Callable, iou_threshold: flo
     precisions = tp / np.maximum(ranks, 1)
     by_difficulty = {}
     for name in DIFFICULTY_NAMES:
-        n, sc, fl, _ = _sweep(dets_per_scene, gts_per_scene, iou_fn, iou_threshold, name)
+        n, sc, fl, _ = _sweep(dets_per_scene, gts_per_scene, results, name)
         if n > 0:
             by_difficulty[name] = average_precision(n, sc, fl, forty_point)
     return EvalResult(ap, recalls, precisions, matches, by_difficulty)

@@ -22,10 +22,9 @@ distance enters only through point sparsity.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, AssignLabel, assign,
 from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError, require_finite
 from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
                      attenuated_term, cross_entropy, multi_loss, smooth_l1)
+from .pcio import finite_float, read_table, write_table
 
 FEAT_GEOM = 4  # candidate l, w, h, cz
 
@@ -663,6 +663,11 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
     copies plus near-miss and random negatives, labeled by the stricter
     second-stage thresholds; positive rows encode the true rotated box.
     """
+    for stage, pos, neg in (("rpn", rpn_pos, rpn_neg), ("frh", frh_pos, frh_neg)):
+        if not 0.0 < pos <= 1.0:
+            raise ValueError(f"{stage}_pos must be in (0, 1], got {pos!r}")
+        if not 0.0 <= neg <= pos:
+            raise ValueError(f"{stage}_neg must be in [0, {stage}_pos], got {neg!r}")
     aset = build_anchor_set(layout, spec)
     anchor_ext = aa_extents(aset.cx, aset.cy, aset.l, aset.w)
     packs = []
@@ -830,18 +835,11 @@ def train(training_set: TrainingSet, cfg: TrainConfig, layout: AnchorLayout):
     return params, log
 
 
-LOG_FIELDS = ("step", "lr", "rpn_reg", "rpn_cls", "frh_loc", "frh_cls",
-              "frh_orient", "total")
+LOG_FIELDS = tuple(f.name for f in fields(LogRow))
 
 
 def save_log(log, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_FIELDS)
-        for row in log:
-            writer.writerow([row.step, repr(row.lr), repr(row.rpn_reg),
-                             repr(row.rpn_cls), repr(row.frh_loc), repr(row.frh_cls),
-                             repr(row.frh_orient), repr(row.total)])
+    write_table(path, LOG_FIELDS, map(astuple, log))
 
 
 # ---------------------------------------------------------------------------
@@ -952,35 +950,18 @@ DET_FIELDS = (["cx", "cy", "cz", "l", "w", "h", "yaw", "score"]
 
 
 def save_detections(dets, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DET_FIELDS)
-        for d in dets:
-            b = d.box
-            row = [repr(float(v)) for v in (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw,
-                                            d.score)]
-            row += [repr(float(v)) for v in d.rpn_log_var]
-            row += [repr(float(v)) for v in d.loc_log_var]
-            row += [repr(float(v)) for v in d.orient_log_var]
-            writer.writerow(row)
+    write_table(path, DET_FIELDS, ([d.box.cx, d.box.cy, d.box.cz, d.box.l, d.box.w,
+                                    d.box.h, d.box.yaw, d.score, *d.rpn_log_var,
+                                    *d.loc_log_var, *d.orient_log_var] for d in dets))
 
 
 def load_detections(path, frame_id: str = "") -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DET_FIELDS:
-            raise ValueError(f"unexpected detections header in {path}")
-        dets = []
-        for row in reader:
-            vals = [float(v) for v in row]
-            dets.append(Detection(
-                box=Box3D(*vals[:7]), score=vals[7],
-                rpn_log_var=np.array(vals[8:8 + RPN_DIM]),
-                loc_log_var=np.array(vals[8 + RPN_DIM:8 + RPN_DIM + FRH_LOC_DIM]),
-                orient_log_var=np.array(vals[8 + RPN_DIM + FRH_LOC_DIM:]),
-                frame_id=frame_id))
-    return dets
+    lv_end = 8 + RPN_DIM + FRH_LOC_DIM
+    return [Detection(box=Box3D(*v[:7]), score=v[7],
+                      rpn_log_var=np.array(v[8:8 + RPN_DIM]),
+                      loc_log_var=np.array(v[8 + RPN_DIM:lv_end]),
+                      orient_log_var=np.array(v[lv_end:]), frame_id=frame_id)
+            for v in read_table(path, DET_FIELDS, [finite_float] * len(DET_FIELDS))]
 
 
 # ---------------------------------------------------------------------------

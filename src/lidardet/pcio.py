@@ -1,4 +1,4 @@
-"""Point-cloud and label file IO plus range cropping.
+"""Point-cloud, label and CSV table IO.
 
 Cloud files are headerless binaries of little-endian float32 records
 ``(x, y, z, intensity)``, 16 bytes per point. Label files are plain text,
@@ -7,23 +7,24 @@ one object per line::
     class cx cy cz l w h yaw difficulty
 
 with ``#`` starting a comment line. Intensity is carried through IO but is
-not consumed anywhere downstream.
+not consumed anywhere downstream. Every CSV artifact (train log,
+detections, records, scene noise, precision-recall sweep, analyses) is
+written by ``write_table``; the CSV inputs are read back by ``read_table``.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List
+from typing import Iterable, List
 
 import numpy as np
 
 from .boxgeom import Box3D
 from .errors import FormatError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bevraster import RangeSpec
 
 RECORD_BYTES = 16
 
@@ -79,19 +80,6 @@ def load_cloud(path) -> PointCloud:
 def save_cloud(pc: PointCloud, path) -> None:
     """Write the cloud as little-endian float32 records."""
     Path(path).write_bytes(np.ascontiguousarray(pc.points, dtype="<f4").tobytes())
-
-
-def crop_range(pc: PointCloud, bounds: "RangeSpec") -> PointCloud:
-    """Keep points inside the half-open box [min, max) on every axis.
-
-    Point order is preserved; the result is a subsequence of the input.
-    Applying the same crop twice is a no-op.
-    """
-    p = pc.points
-    keep = ((p[:, 0] >= bounds.x_min) & (p[:, 0] < bounds.x_max)
-            & (p[:, 1] >= bounds.y_min) & (p[:, 1] < bounds.y_max)
-            & (p[:, 2] >= bounds.z_min) & (p[:, 2] < bounds.z_max))
-    return PointCloud(p[keep].copy(), pc.frame_id)
 
 
 class ObjectClass(Enum):
@@ -153,3 +141,51 @@ def save_labels(objects: Iterable[GroundTruthObject], path) -> None:
                               + [repr(float(v)) for v in (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)]
                               + [obj.difficulty.value]))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV header line, then one line per row: a float cell (Python
+    or numpy) as ``repr(float(v))``, so it reads back bit for bit, ``None``
+    as an empty cell and any other value by ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def finite_float(text: str) -> float:
+    """Column type for ``read_table``: a float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {text!r}")
+    return value
+
+
+def read_table(path, header, types) -> list:
+    """Rows of a ``write_table`` file, each cell parsed by its column's entry
+    in ``types`` (``str``, ``int``, ``float``, ``finite_float``...). A header
+    other than ``header``, a row of the wrong width or a cell its parser
+    rejects raises ``FormatError("<path>:<line>: ...")``."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise FormatError(f"{path}:1: expected header {','.join(header)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            cells = []
+            for name, parse, text in zip(header, types, row):
+                try:
+                    cells.append(parse(text))
+                except ValueError:
+                    raise FormatError(f"{where}: bad {name} {text!r}") from None
+            rows.append(cells)
+    return rows

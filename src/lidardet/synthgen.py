@@ -16,9 +16,8 @@ so heading is observable from geometry alone.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,8 @@ from .bevraster import RangeSpec
 from .boxgeom import Box3D, bev_corners, intersection_area_bev
 from .errors import PlacementError, require_finite
 from .pcio import (Difficulty, GroundTruthObject, ObjectClass, PointCloud,
-                   load_cloud, load_labels, save_cloud, save_labels)
+                   finite_float, load_cloud, load_labels, read_table, save_cloud,
+                   save_labels, write_table)
 from .uncstats import base_angle_offset
 
 DEFAULT_SCENE_RANGE = RangeSpec(0.0, 56.0, -20.0, 20.0, 0.0, 2.5, 0.2, 5, 0.5)
@@ -266,7 +266,7 @@ def generate_scenes(spec: SceneSpec, count: int) -> list:
     return [generate(replace(spec, seed=spec.seed + i)) for i in range(count)]
 
 
-NOISE_FIELDS = ("index", "sigma_label", "visibility", "point_count")
+NOISE_FIELDS = ("index", *(f.name for f in fields(ObjectNoise)))
 
 
 def save_scene(scene: SyntheticScene, out_dir, name: str) -> None:
@@ -274,27 +274,17 @@ def save_scene(scene: SyntheticScene, out_dir, name: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_cloud(scene.cloud, out / f"{name}.bin")
     save_labels(scene.gts, out / f"{name}.txt")
-    with open(out / f"{name}_noise.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(NOISE_FIELDS)
-        for i, rec in enumerate(scene.noise):
-            writer.writerow([i, repr(rec.sigma_label), repr(rec.visibility),
-                             rec.point_count])
+    write_table(out / f"{name}_noise.csv", NOISE_FIELDS,
+                ((i, *astuple(rec)) for i, rec in enumerate(scene.noise)))
 
 
 def load_scene(in_dir, name: str) -> SyntheticScene:
     src = Path(in_dir)
     cloud = load_cloud(src / f"{name}.bin")
     gts = load_labels(src / f"{name}.txt")
-    noise = []
-    with open(src / f"{name}_noise.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(NOISE_FIELDS):
-            raise ValueError(f"unexpected noise header in {src / f'{name}_noise.csv'}")
-        for row in reader:
-            noise.append(ObjectNoise(float(row[1]), float(row[2]), int(row[3])))
-    return SyntheticScene(cloud=cloud, gts=gts, noise=noise)
+    rows = read_table(src / f"{name}_noise.csv", NOISE_FIELDS,
+                      (int, finite_float, finite_float, int))
+    return SyntheticScene(cloud=cloud, gts=gts, noise=[ObjectNoise(*r[1:]) for r in rows])
 
 
 def scene_names(in_dir) -> list:

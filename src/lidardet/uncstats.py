@@ -9,9 +9,8 @@ model that produced them.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .boxgeom import iou_bev_rotated
 from .errors import BadEdges, DegenerateInput
 from .metrics import match
+from .pcio import finite_float, read_table, write_table
 
 BIN_KEYS = ("distance", "score", "angle_offset")
 BIN_VALUES = ("rpn_tv", "frh_loc_tv", "frh_orient_tv")
@@ -165,34 +165,18 @@ def filter_confident(records: Sequence[UncertaintyRecord],
     return [r for r in records if r.score > min_score]
 
 
-RECORD_FIELDS = ("det_id", "score", "distance", "yaw", "rpn_tv",
-                 "frh_loc_tv", "frh_orient_tv", "difficulty", "sigma_label")
+RECORD_FIELDS = tuple(f.name for f in fields(UncertaintyRecord))
+# sigma_label is nan for a detection that matched no truth
+RECORD_TYPES = tuple({"det_id": str, "difficulty": str, "sigma_label": float}.get(
+    name, finite_float) for name in RECORD_FIELDS)
 
 
 def save_records(records: Sequence[UncertaintyRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow([r.det_id, repr(r.score), repr(r.distance), repr(r.yaw),
-                             repr(r.rpn_tv), repr(r.frh_loc_tv), repr(r.frh_orient_tv),
-                             r.difficulty, repr(r.sigma_label)])
+    write_table(path, RECORD_FIELDS, map(astuple, records))
 
 
 def load_records(path) -> list[UncertaintyRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_FIELDS):
-            raise ValueError(f"unexpected records header in {path}")
-        out = []
-        for row in reader:
-            out.append(UncertaintyRecord(
-                det_id=row[0], score=float(row[1]), distance=float(row[2]),
-                yaw=float(row[3]), rpn_tv=float(row[4]), frh_loc_tv=float(row[5]),
-                frh_orient_tv=float(row[6]), difficulty=row[7],
-                sigma_label=float(row[8])))
-    return out
+    return [UncertaintyRecord(*row) for row in read_table(path, RECORD_FIELDS, RECORD_TYPES)]
 
 
 def records_from_detections(detections, gts=(), noise=(), iou_fn=None,

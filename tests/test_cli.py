@@ -1,20 +1,24 @@
 """Command-line pipeline and flat-config parsing."""
 
 import math
-from dataclasses import fields
+import shutil
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import lidardet.cli as cli
 from lidardet.bevraster import read_grid
+from lidardet.boxgeom import Box3D
 from lidardet.cli import run
 from lidardet.config import (DEFAULTS, default_config, load_config,
                              make_infer_config, make_layout, make_range_spec,
                              make_scene_spec, make_train_config, parse_config)
 from lidardet.errors import ConfigError
-from lidardet.model import InferConfig, TrainConfig, load_detections
-from lidardet.uncstats import load_records
+from lidardet.model import (Detection, InferConfig, TrainConfig, load_detections,
+                            save_detections)
+from lidardet.pcio import Difficulty, GroundTruthObject, ObjectClass, save_labels
+from lidardet.uncstats import UncertaintyRecord, load_records, save_records
 
 CONFIG_TEXT = """\
 # compact setup for pipeline exercises
@@ -229,6 +233,141 @@ class TestBoundaries:
         assert code == 1
         assert f"{field} must be finite" in self._one_line_error(capsys)
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text, name", [
+        ("assign.rpn_pos = 0\nassign.rpn_neg = 0", "rpn_pos"),
+        ("assign.rpn_neg = 0.6", "rpn_neg"), ("assign.frh_pos = 1.5", "frh_pos"),
+        ("assign.frh_neg = -0.1", "frh_neg")])
+    def test_assign_thresholds_out_of_range(self, workspace, tmp_path, capsys,
+                                            text, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + text + "\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert f"{name} must be in" in self._one_line_error(capsys)
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_nan_detection_score(self, tmp_path, capsys):
+        _, argv = eval_inputs(tmp_path, small_dets(score=math.nan))
+        assert run(argv) == 1
+        assert "s_dets.csv:2: bad score 'nan'" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("field", ["score", "distance", "rpn_tv", "frh_orient_tv"])
+    def test_non_finite_record(self, tmp_path, capsys, field):
+        _, argv = analyze_inputs(tmp_path, small_records(**{field: math.inf}))
+        assert run(argv) == 1
+        assert f"records.csv:2: bad {field} 'inf'" in self._one_line_error(capsys)
+
+    def test_unmatched_record_keeps_nan_sigma(self, tmp_path, capsys):
+        _, argv = analyze_inputs(tmp_path, small_records(sigma_label=math.nan))
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("column", ["sigma_label", "visibility"])
+    def test_non_finite_scene_noise(self, workspace, tmp_path, capsys, column):
+        path, argv = train_inputs(workspace, tmp_path)
+        header, first, *rest = path.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = "nan"
+        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        assert run(argv) == 1
+        assert f"noise.csv:2: bad {column} 'nan'" in self._one_line_error(capsys)
+
+
+# CSV inputs with short cells, so that a file has few cut offsets.
+
+def small_dets(score=0.75):
+    return [Detection(box=Box3D(10.0, 0.5, 0.8, 4.0, 1.8, 1.5, 0.25), score=score,
+                      rpn_log_var=np.full(6, -0.5), loc_log_var=np.full(10, 0.5),
+                      orient_log_var=np.full(2, -1.5)),
+            Detection(box=Box3D(20.0, -3.0, 0.8, 4.5, 2.0, 1.5, 1.5), score=0.5,
+                      rpn_log_var=np.zeros(6), loc_log_var=np.zeros(10),
+                      orient_log_var=np.zeros(2))]
+
+
+def small_records(**changes):
+    first = UncertaintyRecord("s:0", 0.75, 12.5, 0.25, 1.5, 2.5, 0.5, "Easy", 0.125)
+    return [replace(first, **changes),
+            UncertaintyRecord("s:1", 0.875, 31.0, -1.25, 2.0, 3.5, 0.75, "Hard")]
+
+
+def eval_inputs(tmp_path, dets):
+    """(detections file, eval arguments) for one scene with one truth."""
+    gts, out = tmp_path / "gts", tmp_path / "dets"
+    gts.mkdir()
+    out.mkdir()
+    save_labels([GroundTruthObject(ObjectClass.CAR, dets[0].box, Difficulty.EASY)],
+                gts / "s.txt")
+    save_detections(dets, out / "s_dets.csv")
+    return out / "s_dets.csv", ["eval", "--dets", str(out), "--gts", str(gts),
+                                "--iou", "0.5"]
+
+
+def analyze_inputs(tmp_path, records, analysis="rpn-vs-frh"):
+    """(records file, analyze arguments)."""
+    path = tmp_path / "records.csv"
+    save_records(records, path)
+    return path, ["analyze", "--records", str(path), "--analysis", analysis,
+                  "--out", str(tmp_path / f"{analysis}.csv")]
+
+
+def train_inputs(workspace, tmp_path):
+    """(noise file, train arguments) for a copy of one workspace scene."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for suffix in (".bin", ".txt", "_noise.csv"):
+        shutil.copy(workspace["scenes"] / f"scene_0000{suffix}", scenes)
+    return scenes / "scene_0000_noise.csv", [
+        "train", "--data", str(scenes), "--config", str(workspace["cfg"]),
+        "--out-params", str(tmp_path / "m.bin"), "--log", str(tmp_path / "l.csv")]
+
+
+class TestTruncatedInputs:
+    """Every prefix of a CSV input ends in exit 0 or 1 with at most one
+    stderr line; a prefix that ends inside a row drops that row's last
+    columns and must end in exit 1."""
+
+    @staticmethod
+    def _fuzz(capsys, path, argv):
+        text = path.read_text()
+        width = text.split("\n", 1)[0].count(",")
+        for cut in range(len(text) + 1):
+            path.write_text(text[:cut])
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1) and err.count("\n") <= 1, (cut, err)
+            last = text[:cut].rsplit("\n", 1)[-1]
+            if last and last.count(",") < width:
+                assert code == 1, (cut, last)
+
+    def test_detections(self, tmp_path, capsys):
+        self._fuzz(capsys, *eval_inputs(tmp_path, small_dets()))
+
+    def test_records(self, tmp_path, capsys):
+        self._fuzz(capsys, *analyze_inputs(tmp_path, small_records()))
+
+    def test_scene_noise(self, workspace, tmp_path, capsys):
+        self._fuzz(capsys, *train_inputs(workspace, tmp_path))
+
+
+def test_analysis_cells_are_numbers(tmp_path):
+    """Every cell of the six analyses except det_id and difficulty names,
+    and the empty mean of an empty bin, parses with float()."""
+    records = [UncertaintyRecord(f"s:{i}", 0.55 + 0.04 * i, 5.0 + 5.0 * i,
+                                 -1.5 + 0.3 * i, 1.0 + 0.1 * i, 2.0 + 0.2 * i,
+                                 0.5 + 0.05 * i, ("Easy", "Moderate", "Hard")[i % 3],
+                                 0.1 * i) for i in range(11)]
+    for analysis in cli.ANALYSES:
+        _, argv = analyze_inputs(tmp_path, records, analysis)
+        assert run(argv) == 0
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / f"{analysis}.csv").read_text().splitlines()]
+        assert rows
+        for row in rows:
+            for name, cell in zip(header, row, strict=True):
+                if name not in ("det_id", "difficulty") and cell:
+                    float(cell)
 
 
 # Where a section's keys land: the dataclass its maker builds.

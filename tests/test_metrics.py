@@ -236,3 +236,23 @@ class TestEvaluate:
         assert [(s, d, g) for s, d, g, _ in res.matches] == [(0, 0, 0), (1, 0, 0)]
         for *_, iou in res.matches:
             assert iou == pytest.approx(1.0)
+
+
+def test_evaluate_matches_each_scene_once():
+    """The overall and per-difficulty sweeps share one matching per scene."""
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return iou_bev_rotated(a, b)
+    gts = [[gt_at(10, 0, Difficulty.EASY), gt_at(30, 0, Difficulty.HARD)],
+           [gt_at(20, 5, Difficulty.MODERATE)]]
+    dets = [[ScoredBox(box_at(10, 0), 0.9), ScoredBox(box_at(31, 0), 0.7)],
+            [ScoredBox(box_at(20, 5), 0.8), ScoredBox(box_at(40, 8), 0.6)]]
+    res = evaluate(dets, gts, counting_iou, 0.5)
+    assert set(res.by_difficulty) == {"Easy", "Moderate", "Hard"}
+    n_evaluate = len(calls)
+    calls.clear()
+    for scene_dets, scene_gts in zip(dets, gts):
+        match(scene_dets, [g.box for g in scene_gts], counting_iou, 0.5)
+    assert n_evaluate == len(calls) > 0

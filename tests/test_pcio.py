@@ -1,18 +1,16 @@
-"""Point-cloud and label file IO, cropping, and record-layout checks."""
+"""Point-cloud, label and CSV table IO, and record-layout checks."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from lidardet.bevraster import RangeSpec
 from lidardet.errors import FormatError
 from lidardet.pcio import (Difficulty, GroundTruthObject, ObjectClass,
-                           PointCloud, RECORD_BYTES, crop_range, load_cloud,
-                           load_labels, save_cloud, save_labels)
+                           PointCloud, RECORD_BYTES, finite_float, load_cloud,
+                           load_labels, read_table, save_cloud, save_labels,
+                           write_table)
 from lidardet.boxgeom import Box3D
-
-FULL_RANGE = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.1, 5, 0.5)
 
 
 def _write_floats(path, values):
@@ -71,63 +69,6 @@ class TestCloudRoundtrip:
         assert path.stat().st_size == 13 * RECORD_BYTES
 
 
-class TestCropRange:
-    def test_interior_point_retained(self):
-        pc = PointCloud(points=np.array([[35.0, 0.0, 1.0, 0.5]]), frame_id="")
-        assert len(crop_range(pc, FULL_RANGE).points) == 1
-
-    def test_upper_bound_is_half_open(self):
-        pc = PointCloud(points=np.array([[70.0, 0.0, 1.0, 0.5]]), frame_id="")
-        assert len(crop_range(pc, FULL_RANGE).points) == 0
-
-    def test_lower_bound_is_closed(self):
-        pc = PointCloud(points=np.array([[0.0, -40.0, 0.0, 0.5]]), frame_id="")
-        assert len(crop_range(pc, FULL_RANGE).points) == 1
-
-    def test_matches_per_point_predicate_oracle(self):
-        rng = np.random.default_rng(123)
-        pts = np.column_stack([
-            rng.uniform(-10, 80, 1000),
-            rng.uniform(-50, 50, 1000),
-            rng.uniform(-1, 3.5, 1000),
-            rng.uniform(0, 1, 1000),
-        ])
-        pc = PointCloud(points=pts, frame_id="oracle")
-        got = crop_range(pc, FULL_RANGE).points
-        keep = []
-        for x, y, z, i in pts:
-            if (FULL_RANGE.x_min <= x < FULL_RANGE.x_max
-                    and FULL_RANGE.y_min <= y < FULL_RANGE.y_max
-                    and FULL_RANGE.z_min <= z < FULL_RANGE.z_max):
-                keep.append([x, y, z, i])
-        np.testing.assert_array_equal(got, np.array(keep))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        pts = np.column_stack([rng.uniform(-10, 80, 400),
-                               rng.uniform(-50, 50, 400),
-                               rng.uniform(-1, 3.5, 400),
-                               rng.uniform(0, 1, 400)])
-        pc = PointCloud(points=pts, frame_id="")
-        once = crop_range(pc, FULL_RANGE)
-        twice = crop_range(once, FULL_RANGE)
-        np.testing.assert_array_equal(once.points, twice.points)
-
-    def test_result_is_subsequence(self):
-        rng = np.random.default_rng(11)
-        pts = np.column_stack([rng.uniform(-10, 80, 300),
-                               rng.uniform(-50, 50, 300),
-                               rng.uniform(-1, 3.5, 300),
-                               rng.uniform(0, 1, 300)])
-        pc = PointCloud(points=pts, frame_id="")
-        out = crop_range(pc, FULL_RANGE).points
-        rows = {tuple(r) for r in pts}
-        assert all(tuple(r) in rows for r in out)
-        # order preserved: x coordinates appear in original relative order
-        idx = [np.flatnonzero((pts == r).all(axis=1))[0] for r in out]
-        assert idx == sorted(idx)
-
-
 class TestLabels:
     def test_single_line_parses(self, tmp_path):
         p = tmp_path / "one.txt"
@@ -169,3 +110,46 @@ class TestLabels:
         p.write_text("# header\n\nCar 10.0 0.0 0.8 4.0 1.8 1.5 0.0 Hard\n")
         objs = load_labels(p)
         assert len(objs) == 1 and objs[0].difficulty is Difficulty.HARD
+
+
+class TestTable:
+    HEADER = ("name", "count", "value")
+    TYPES = (str, int, finite_float)
+
+    def test_cells_are_written_by_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, self.HEADER,
+                    [("a", 3, 0.1 + 0.2), ("b", np.int64(4), np.float64(2.6232162755018433)),
+                     ("", 0, np.float32(0.5)), ("d", 1, None)])
+        assert path.read_text() == ("name,count,value\na,3,0.30000000000000004\n"
+                                    "b,4,2.6232162755018433\n,0,0.5\nd,1,\n")
+
+    def test_roundtrip_is_exact(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [["x:0", 7, 0.1 + 0.2], ["", -1, -1e-300], ["y", 0, 123456.789e10]]
+        write_table(path, self.HEADER, rows)
+        assert read_table(path, self.HEADER, self.TYPES) == rows
+        write_table(path, self.HEADER, [])
+        assert read_table(path, self.HEADER, self.TYPES) == []
+
+    @pytest.mark.parametrize("text, where", [
+        ("", ":1: expected header"),
+        ("name,count\nx,1\n", ":1: expected header"),
+        ("name,count,value\nx,1,2.0\nx,1\n", ":3: expected 3 fields, got 2"),
+        ("name,count,value\nx,1,2.0,4\n", ":2: expected 3 fields, got 4"),
+        ("name,count,value\nx,1.5,2.0\n", ":2: bad count '1.5'"),
+        ("name,count,value\nx,1,abc\n", ":2: bad value 'abc'"),
+        ("name,count,value\nx,1,nan\n", ":2: bad value 'nan'"),
+        ("name,count,value\nx,1,-inf\n", ":2: bad value '-inf'")])
+    def test_errors_name_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read_table(path, self.HEADER, self.TYPES)
+        assert str(err.value).startswith(f"{path}{where}")
+
+    def test_plain_float_column_keeps_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("v\nnan\ninf\n")
+        (nan,), (inf,) = read_table(path, ("v",), (float,))
+        assert np.isnan(nan) and inf == float("inf")
