@@ -2,7 +2,9 @@
 # Same-behaviour check for refactors: run the README quick-config pipeline
 # (synth x20, train, infer --records, eval, the six analyses, rasterize;
 # seed 7) on a committed git ref and on the working tree, then compare
-# every output file, printed output included, byte for byte.
+# every output file, printed output included, byte for byte. Each side
+# also writes pools.sha256: one sha256 of the build_training_set packs per
+# training split of acceptance criteria 7, 8 (five seeds) and 9.
 #
 #   scripts/pipeline_diff.sh <git-ref>
 #
@@ -48,8 +50,42 @@ pipeline() {  # <source tree> <output dir>
             ldet analyze --records records.csv --analysis "$analysis" --out "$analysis.csv"
         done
         ldet rasterize --cloud scenes/scene_0000.bin --spec quick.cfg --out grid.bin
+        PYTHONPATH="$src" python3 "$tmp/pools.py" > pools.sha256
     ) > "$out/stdout.txt" || { echo "pipeline failed on $1" >&2; exit 2; }
 }
+
+# The training splits of tests/test_acceptance.py criteria 7-9, with their
+# scene specs, k-means layout and training seeds; the other TrainConfig
+# fields they set do not enter build_training_set.
+cat > "$tmp/pools.py" <<'PY'
+import hashlib
+from dataclasses import astuple
+
+import numpy as np
+
+from lidardet.codec import kmeans_anchor_dims
+from lidardet.model import AnchorLayout, TrainConfig, build_training_set
+from lidardet.synthgen import DEFAULT_SCENE_RANGE, SceneSpec, generate_scenes
+
+BENCH_SCENE = dict(num_cars=6, x_min=20.0, point_budget=1000, density_exponent=1.2)
+SPLITS = ([("criterion-7", SceneSpec(seed=100, **BENCH_SCENE), 200, 0)]
+          + [(f"criterion-8-seed-{k}", SceneSpec(seed=100 + 1000 * k, **BENCH_SCENE),
+              150, k) for k in range(5)]
+          + [("criterion-9", SceneSpec(seed=100, num_cars=6, x_min=22.0, x_max=34.0,
+                                       point_budget=1000, density_exponent=1.2,
+                                       noise_angle=0.25, p_base=0.8), 150, 0)])
+for name, spec, count, seed in SPLITS:
+    scenes = generate_scenes(spec, count)
+    dims = np.array([[g.box.l, g.box.w, g.box.h] for s in scenes for g in s.gts])
+    layout = AnchorLayout(shapes=tuple(map(tuple, kmeans_anchor_dims(dims, k=2, seed=0))))
+    packs = build_training_set(scenes, layout, DEFAULT_SCENE_RANGE,
+                               TrainConfig(seed=seed)).packs
+    digest = hashlib.sha256()
+    for arr in (a for pack in packs for a in astuple(pack)):
+        digest.update(repr((arr.dtype.str, arr.shape)).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    print(name, digest.hexdigest())
+PY
 
 pipeline "$tmp/ref-tree" "$tmp/ref"
 pipeline "$repo" "$tmp/work"

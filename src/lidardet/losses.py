@@ -162,19 +162,13 @@ def _regression_term(pred, target, log_var, positive, form, attenuate):
     n_pos = int(positive.sum())
     if n_pos == 0:
         return 0.0, d_pred, d_lv
-    r = pred[positive] - target[positive]
-    L, dL = smooth_l1(r)
-    c = _coeff(form)
+    L, dL = smooth_l1(pred[positive] - target[positive])
+    s = log_var[positive] if attenuate else np.zeros_like(L)
+    value, d_res, d_s = attenuated_term(L, s, form)
+    d_pred[positive] = d_res * dL / n_pos
     if attenuate:
-        s = log_var[positive]
-        weight = c * np.exp(-s)
-        value = float((weight * L + s).sum()) / n_pos
-        d_pred[positive] = weight * dL / n_pos
-        d_lv[positive] = (1.0 - weight * L) / n_pos
-    else:
-        value = float((c * L).sum()) / n_pos
-        d_pred[positive] = c * dL / n_pos
-    return value, d_pred, d_lv
+        d_lv[positive] = d_s / n_pos
+    return float(value.sum()) / n_pos, d_pred, d_lv
 
 
 def _classification_term(logits, labels):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -38,7 +38,7 @@ from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, AssignLabel, assign,
 from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError, require_finite
 from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
                      attenuated_term, cross_entropy, multi_loss, smooth_l1)
-from .pcio import finite_float, read_table, write_table
+from .pcio import finite_float, positive_float, read_table, write_table
 
 FEAT_GEOM = 4  # candidate l, w, h, cz
 
@@ -75,29 +75,33 @@ def _pool_stats(heights: np.ndarray, density: np.ndarray, pool_blocks: int,
     return np.concatenate([np.asarray(p, dtype=np.float64) for p in pieces], axis=-1)
 
 
-def _window_bounds(spec: RangeSpec, env: Box3D):
-    """Index ranges of cells whose centers fall under an envelope."""
-    x0, x1 = env.cx - 0.5 * env.l, env.cx + 0.5 * env.l
-    y0, y1 = env.cy - 0.5 * env.w, env.cy + 0.5 * env.w
-    if x1 < spec.x_min or x0 > spec.x_max or y1 < spec.y_min or y0 > spec.y_max:
-        raise OutOfGrid(f"candidate footprint [{x0:.2f},{x1:.2f}]x[{y0:.2f},{y1:.2f}] "
-                        "misses the grid")
-    res = spec.xy_resolution
-    r0 = int(math.ceil((x0 - spec.x_min) / res - 0.5))
-    r1 = int(math.floor((x1 - spec.x_min) / res - 0.5))
-    c0 = int(math.ceil((y0 - spec.y_min) / res - 0.5))
-    c1 = int(math.floor((y1 - spec.y_min) / res - 0.5))
-    return (max(r0, 0), min(r1, spec.n_rows - 1),
-            max(c0, 0), min(c1, spec.n_cols - 1))
+CELL_EDGE_TOL = 1e-9  # cells
+
+
+def cell_range(lo, hi, origin, res):
+    """Unclipped first and last index of the cells whose centers ``origin + (i +
+    0.5) * res`` lie in ``[lo, hi]`` (first > last if none). A center within
+    CELL_EDGE_TOL of an edge counts as inside, so float noise cannot shrink a window."""
+    first = np.ceil((lo - origin) / res - 0.5 - CELL_EDGE_TOL)
+    last = np.floor((hi - origin) / res - 0.5 + CELL_EDGE_TOL)
+    return first.astype(np.int64), last.astype(np.int64)
 
 
 def featurize(grid: BevGrid, candidate: Box3D, pool_blocks: int = 3) -> np.ndarray:
     """Fixed-length pooled feature vector for one candidate box."""
     spec = grid.spec
-    r0, r1, c0, c1 = _window_bounds(spec, aa_envelope(candidate))
-    n = feature_length(spec.num_slices, pool_blocks)
+    env = aa_envelope(candidate)
+    x0, x1 = env.cx - 0.5 * env.l, env.cx + 0.5 * env.l
+    y0, y1 = env.cy - 0.5 * env.w, env.cy + 0.5 * env.w
+    if x1 < spec.x_min or x0 > spec.x_max or y1 < spec.y_min or y0 > spec.y_max:
+        raise OutOfGrid(f"candidate footprint [{x0:.2f},{x1:.2f}]x[{y0:.2f},{y1:.2f}] "
+                        "misses the grid")
+    r0, r1 = cell_range(x0, x1, spec.x_min, spec.xy_resolution)
+    c0, c1 = cell_range(y0, y1, spec.y_min, spec.xy_resolution)
+    r0, r1 = max(r0, 0), min(r1, spec.n_rows - 1)
+    c0, c1 = max(c0, 0), min(c1, spec.n_cols - 1)
     if r0 > r1 or c0 > c1:
-        return np.zeros(n)
+        return np.zeros(feature_length(spec.num_slices, pool_blocks))
     pooled = _pool_stats(grid.heights[r0:r1 + 1, c0:c1 + 1, :],
                          grid.density[r0:r1 + 1, c0:c1 + 1], pool_blocks, spec.z_min)
     geom = np.array([candidate.l, candidate.w, candidate.h, candidate.cz])
@@ -148,6 +152,11 @@ class AnchorSet:
         return Box3D(float(self.cx[i]), float(self.cy[i]), self.layout.z_center,
                      float(self.l[i]), float(self.w[i]), float(self.h[i]), 0.0)
 
+    def take(self, idx) -> "AnchorSet":
+        """The anchors at ``idx``, in that order."""
+        return replace(self, **{f.name: getattr(self, f.name)[idx] for f in fields(self)
+                                if f.name not in ("spec", "layout")})
+
 
 def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
     lat_rows = np.arange(layout.stride // 2, spec.n_rows, layout.stride)
@@ -175,41 +184,35 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
 
 
 def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.ndarray:
-    """Feature matrix over a whole anchor set.
+    """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
 
-    Anchors whose window fits inside the grid go through a batched
-    gather; the few near the border fall back to the single-candidate
-    path, which clips. Both paths pool identically.
+    Anchors whose window lies inside the grid are pooled by a batched
+    gather, one group of one shape, bin and window size at a time; the
+    rest, near the border, go through ``featurize``, which clips.
     """
     spec = grid.spec
     res = spec.xy_resolution
+    r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
+    c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
+    inner = ((0 <= r0) & (r0 <= r1) & (r1 < spec.n_rows)
+             & (0 <= c0) & (c0 <= c1) & (c1 < spec.n_cols))
     feat = np.empty((len(aset), feature_length(spec.num_slices, pool_blocks)))
-    for s in range(len(aset.layout.shapes)):
-        for swap in (False, True):
-            sel = np.where((aset.shape_idx == s) & (aset.bin90 == swap))[0]
-            if len(sel) == 0:
-                continue
-            l_eff = float(aset.l[sel[0]])
-            w_eff = float(aset.w[sel[0]])
-            h_eff = float(aset.h[sel[0]])
-            fr = int(math.floor(l_eff / (2.0 * res)))
-            fc = int(math.floor(w_eff / (2.0 * res)))
-            rows = aset.rows[sel]
-            cols = aset.cols[sel]
-            inside = ((rows - fr >= 0) & (rows + fr < spec.n_rows)
-                      & (cols - fc >= 0) & (cols + fc < spec.n_cols))
-            inner = sel[inside]
-            if len(inner):
-                r_idx = rows[inside][:, None] + np.arange(-fr, fr + 1)[None, :]
-                c_idx = cols[inside][:, None] + np.arange(-fc, fc + 1)[None, :]
-                hwin = grid.heights[r_idx[:, :, None], c_idx[:, None, :], :]
-                dwin = grid.density[r_idx[:, :, None], c_idx[:, None, :]]
-                pooled = _pool_stats(hwin, dwin, pool_blocks, spec.z_min)
-                geom = np.tile([l_eff, w_eff, h_eff, aset.layout.z_center],
-                               (len(inner), 1))
-                feat[inner] = np.concatenate([pooled, geom], axis=1)
-            for i in sel[~inside]:
-                feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
+    feat[:, -FEAT_GEOM:] = np.column_stack([aset.l, aset.w, aset.h,
+                                            np.full(len(aset), aset.layout.z_center)])
+    # one int per (shape, bin, window size), 50x faster than np.unique(axis=0)
+    dims = (len(aset.layout.shapes), 2, spec.n_rows, spec.n_cols)
+    keys = np.ravel_multi_index((aset.shape_idx, aset.bin90, r1 - r0, c1 - c0), dims,
+                                mode="clip")
+    for key in np.unique(keys[inner]):
+        sel = np.flatnonzero(inner & (keys == key))
+        _, _, last_r, last_c = np.unravel_index(key, dims)
+        r_idx = (r0[sel, None] + np.arange(last_r + 1))[:, :, None]
+        c_idx = (c0[sel, None] + np.arange(last_c + 1))[:, None, :]
+        # the gathered windows are temporaries, freed before the next group
+        feat[sel, :-FEAT_GEOM] = _pool_stats(
+            grid.heights[r_idx, c_idx, :], grid.density[r_idx, c_idx], pool_blocks, spec.z_min)
+    for i in np.flatnonzero(~inner):
+        feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
     return feat
 
 
@@ -675,8 +678,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         rng = np.random.default_rng([cfg.seed, 2, scene_idx])
         grid = rasterize(scene.cloud, spec)
         envs = [aa_envelope(g.box) for g in scene.gts]
-        sigmas = np.array([n.sigma_label for n in scene.noise]) if scene.noise \
-            else np.zeros(0)
+        sigmas = np.array([n.sigma_label for n in scene.noise], dtype=np.float64)
 
         # stage 1: anchor pool against truth envelopes
         iou = iou_aa(anchor_ext, box_extents(envs))
@@ -693,8 +695,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         n_neg = min(cfg.neg_per_scene, len(neg_pool))
         neg = sorted(int(i) for i in rng.choice(neg_pool, size=n_neg, replace=False))
         sel = pos + neg
-        x1 = np.stack([featurize(grid, aset.box(i), cfg.pool_blocks) for i in sel]) \
-            if sel else np.zeros((0, feature_length(spec.num_slices, cfg.pool_blocks)))
+        x1 = anchor_features(grid, aset.take(sel), cfg.pool_blocks)
         rpn_cls = np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
         rpn_reg = np.zeros((len(sel), RPN_DIM))
         rpn_sigma = np.zeros(len(sel))
@@ -890,11 +891,9 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     scores = softmax(logits)[:, 1]
     order = np.argsort(-scores, kind="stable")[:icfg.pre_nms_top]
     proposals = []
-    kept_anchor = []
     for i in order:
         box = decode_rpn(aset.box(int(i)), reg[i])
         proposals.append(ScoredBox(box=box, score=float(scores[i])))
-        kept_anchor.append(int(i))
     keep = nms_indices(proposals, icfg.nms_threshold, icfg.proposal_count)
     rois = []
     roi_lv = []
@@ -906,7 +905,7 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
         except OutOfGrid:
             continue
         rois.append(roi)
-        roi_lv.append(lv[kept_anchor[k]])
+        roi_lv.append(lv[order[k]])
         feats.append(f)
     if not rois:
         return []
@@ -961,7 +960,8 @@ def load_detections(path, frame_id: str = "") -> list:
                       rpn_log_var=np.array(v[8:8 + RPN_DIM]),
                       loc_log_var=np.array(v[8 + RPN_DIM:lv_end]),
                       orient_log_var=np.array(v[lv_end:]), frame_id=frame_id)
-            for v in read_table(path, DET_FIELDS, [finite_float] * len(DET_FIELDS))]
+            for v in read_table(path, DET_FIELDS, [positive_float if f in ("l", "w", "h")
+                                                   else finite_float for f in DET_FIELDS])]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """Column type for ``read_table``: a finite float above zero."""
+    if (value := finite_float(text)) <= 0.0:
+        raise ValueError(f"non-positive {text!r}")
+    return value
+
+
 def read_table(path, header, types) -> list:
     """Rows of a ``write_table`` file, each cell parsed by its column's entry
     in ``types`` (``str``, ``int``, ``float``, ``finite_float``...). A header

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bevraster import RangeSpec
 from .boxgeom import Box3D, bev_corners, intersection_area_bev
-from .errors import PlacementError, require_finite
+from .errors import FormatError, PlacementError, require_finite
 from .pcio import (Difficulty, GroundTruthObject, ObjectClass, PointCloud,
                    finite_float, load_cloud, load_labels, read_table, save_cloud,
                    save_labels, write_table)
@@ -282,8 +282,11 @@ def load_scene(in_dir, name: str) -> SyntheticScene:
     src = Path(in_dir)
     cloud = load_cloud(src / f"{name}.bin")
     gts = load_labels(src / f"{name}.txt")
-    rows = read_table(src / f"{name}_noise.csv", NOISE_FIELDS,
-                      (int, finite_float, finite_float, int))
+    noise_path = src / f"{name}_noise.csv"
+    rows = read_table(noise_path, NOISE_FIELDS, (int, finite_float, finite_float, int))
+    if len(rows) != len(gts):  # the first missing or extra row, after the header
+        raise FormatError(f"{noise_path}:{min(len(rows), len(gts)) + 2}: {len(rows)} noise "
+                          f"rows for {len(gts)} objects in {name}.txt")
     return SyntheticScene(cloud=cloud, gts=gts, noise=[ObjectNoise(*r[1:]) for r in rows])
 
 

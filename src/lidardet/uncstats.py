@@ -22,6 +22,7 @@ from .pcio import finite_float, read_table, write_table
 
 BIN_KEYS = ("distance", "score", "angle_offset")
 BIN_VALUES = ("rpn_tv", "frh_loc_tv", "frh_orient_tv")
+MATCH_THRESHOLD = 0.3  # rotated BEV IoU at which a record takes a truth's fields
 
 DEFAULT_DISTANCE_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_SCORE_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0 + 1e-9)
@@ -179,8 +180,7 @@ def load_records(path) -> list[UncertaintyRecord]:
     return [UncertaintyRecord(*row) for row in read_table(path, RECORD_FIELDS, RECORD_TYPES)]
 
 
-def records_from_detections(detections, gts=(), noise=(), iou_fn=None,
-                            match_threshold: float = 0.3) -> list[UncertaintyRecord]:
+def records_from_detections(detections, gts=(), noise=()) -> list[UncertaintyRecord]:
     """Build analysis records, joining ground truth by greedy IoU matching.
 
     Detections only need box/score/log-variance attributes. When ground
@@ -189,12 +189,8 @@ def records_from_detections(detections, gts=(), noise=(), iou_fn=None,
     aligned with the truths; unmatched detections keep an empty
     difficulty and NaN sigma.
     """
-    if iou_fn is None:
-        iou_fn = iou_bev_rotated
-    matched_gt: dict[int, int] = {}
-    if len(gts):
-        result = match(detections, [g.box for g in gts], iou_fn, match_threshold)
-        matched_gt = {d: g for d, g, _ in result.matches}
+    result = match(detections, [g.box for g in gts], iou_bev_rotated, MATCH_THRESHOLD)
+    matched_gt = {d: g for d, g, _ in result.matches}
     out = []
     for i, det in enumerate(detections):
         frame = getattr(det, "frame_id", "")

@@ -264,6 +264,29 @@ class TestBoundaries:
         _, argv = analyze_inputs(tmp_path, small_records(sigma_label=math.nan))
         assert run(argv) == 0
 
+    @pytest.mark.parametrize("field", ["l", "w", "h"])
+    def test_zero_detection_dimension(self, tmp_path, capsys, field):
+        path, argv = eval_inputs(tmp_path, small_dets())
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(field)] = "0.0"
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        assert run(argv) == 1
+        assert f"s_dets.csv:3: bad {field} '0.0'" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_noise_rows_must_match_labels(self, workspace, tmp_path, capsys, extra):
+        path, argv = train_inputs(workspace, tmp_path)
+        header, *rows = path.read_text().splitlines()
+        n = len(rows)
+        rows = rows[:-1] if extra < 0 else rows + rows[-1:]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert run(argv) == 1
+        # the first missing or extra row, counting the header as line 1
+        want = f"scene_0000_noise.csv:{min(n, n + extra) + 2}: {n + extra} noise rows " \
+            f"for {n} objects in scene_0000.txt"
+        assert want in self._one_line_error(capsys)
+
     @pytest.mark.parametrize("column", ["sigma_label", "visibility"])
     def test_non_finite_scene_noise(self, workspace, tmp_path, capsys, column):
         path, argv = train_inputs(workspace, tmp_path)

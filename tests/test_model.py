@@ -17,8 +17,8 @@ from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE1_OUTPUTS, STAGE2_HEADS,
                             STAGE2_OUTPUTS, AnchorLayout, Detection, InferConfig,
                             ModelParams, StepBatch, TrainConfig,
                             adam_step, anchor_features, apply_label_noise,
-                            build_anchor_set,
-                            build_training_set, detect_scenes, dropout_mask,
+                            build_anchor_set, build_training_set, cell_range,
+                            detect_scenes, dropout_mask,
                             feature_length, featurize, gradcheck, infer,
                             init_adam, init_params, load_detections,
                             load_params, lr_schedule, named_arrays, run_batch,
@@ -177,6 +177,35 @@ class TestAnchors:
         for i in idx:
             np.testing.assert_allclose(
                 feats[i], featurize(grid, aset.box(int(i)), 2), atol=1e-9)
+
+    def test_cell_range_covers_whole_cells_at_every_offset(self):
+        for origin in (0.0, -20.0, -40.0):
+            cx = origin + (np.arange(4000) + 0.5) * 0.2
+            first, last = cell_range(cx - 2.0, cx + 2.0, origin, 0.2)
+            assert np.all(last - first + 1 == 21)
+            assert cell_range(float(cx[7]) - 2.0, float(cx[7]) + 2.0, origin, 0.2) \
+                == (first[7], last[7])
+        assert cell_range(0.1, 0.5, 0.0, 0.2) == (0, 2)       # centers 0.1, 0.3, 0.5
+        assert cell_range(-0.29, 0.29, 0.0, 0.2) == (-1, 0)   # unclipped
+        assert cell_range(0.11, 0.29, 0.0, 0.2) == (1, 0)     # no center: empty
+
+    def test_anchor_features_equal_featurize_on_every_row(self):
+        # half-lengths of 2.0 m, 0.8 m and 2.2 m are whole numbers of cells,
+        # so footprint edges fall on cell centers
+        spec = RangeSpec(0.0, 16.0, -8.0, 8.0, 0.0, 2.5, 0.2, 5, 0.5)
+        rng = np.random.default_rng(11)
+        n = 40000
+        pts = np.column_stack([rng.uniform(0, 16, n), rng.uniform(-8, 8, n),
+                               rng.uniform(0, 2.5, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        layout = AnchorLayout(shapes=((4.0, 1.6, 1.5), (4.4, 1.8, 1.5)), stride=4)
+        aset = build_anchor_set(layout, spec)
+        feats = anchor_features(grid, aset, pool_blocks=3)
+        want = np.stack([featurize(grid, aset.box(i), 3) for i in range(len(aset))])
+        np.testing.assert_allclose(feats, want, rtol=0.0, atol=1e-9)
+        # a subset in any order pools as the whole set does
+        idx = rng.permutation(len(aset))[:300]
+        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3), feats[idx])
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):

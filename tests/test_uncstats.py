@@ -10,8 +10,8 @@ import pytest
 from lidardet.boxgeom import Box3D, iou_bev_rotated
 from lidardet.errors import BadEdges, DegenerateInput
 from lidardet.pcio import Difficulty, GroundTruthObject, ObjectClass
-from lidardet.uncstats import (UncertaintyRecord, base_angle_offset,
-                               binned_means, difficulty_histogram,
+from lidardet.uncstats import (MATCH_THRESHOLD, UncertaintyRecord,
+                               base_angle_offset, binned_means, difficulty_histogram,
                                filter_confident, load_records, pearson,
                                records_from_detections, save_records,
                                total_variance)
@@ -234,10 +234,10 @@ class TestRecordsFromDetections:
     def test_matching_respects_threshold(self):
         gt_box = Box3D(10.0, 0.0, 0.8, 4.0, 2.0, 1.5, 0.0)
         gts = [GroundTruthObject(ObjectClass.CAR, gt_box, Difficulty.EASY)]
-        far = FakeDet(Box3D(10.0, 1.9, 0.8, 4.0, 2.0, 1.5, 0.0), 0.9)
-        low = records_from_detections([far], gts, iou_fn=iou_bev_rotated,
-                                      match_threshold=0.9)
-        assert low[0].difficulty == ""
-        high = records_from_detections([FakeDet(gt_box, 0.9)], gts,
-                                       match_threshold=0.9)
-        assert high[0].difficulty == "Easy"
+        # a sideways shift of 1.2 m leaves IoU 0.25, of 1.0 m IoU 1/3
+        below = FakeDet(Box3D(10.0, 1.2, 0.8, 4.0, 2.0, 1.5, 0.0), 0.9)
+        above = FakeDet(Box3D(10.0, 1.0, 0.8, 4.0, 2.0, 1.5, 0.0), 0.9)
+        assert iou_bev_rotated(below.box, gt_box) < MATCH_THRESHOLD
+        assert iou_bev_rotated(above.box, gt_box) > MATCH_THRESHOLD
+        assert records_from_detections([below], gts)[0].difficulty == ""
+        assert records_from_detections([above], gts)[0].difficulty == "Easy"
