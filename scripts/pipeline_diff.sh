@@ -10,7 +10,8 @@
 #
 # Exits 0 when all artifacts are identical, 1 when any differ, 2 on a
 # usage or pipeline error. For each differing text file it also prints the
-# first 20 lines of its `diff -u`. The ref is exported with `git archive`
+# first 20 lines of its `diff -u`, and for each differing CSV the largest
+# absolute difference between numeric cells at the same place. The ref is exported with `git archive`
 # into a temporary directory (under $TMPDIR), which is removed on exit.
 set -euo pipefail
 
@@ -87,6 +88,31 @@ for name, spec, count, seed in SPLITS:
     print(name, digest.hexdigest())
 PY
 
+# Largest absolute difference between the numeric cells of two CSV files.
+cat > "$tmp/maxdiff.py" <<'PY'
+import csv
+import math
+import sys
+
+name, paths = sys.argv[1], sys.argv[2:]
+tables = []
+for path in paths:
+    with open(path, newline="") as f:
+        tables.append(list(csv.reader(f)))
+worst = 0.0
+for row_a, row_b in zip(*tables):
+    for a, b in zip(row_a, row_b):
+        try:
+            d = abs(float(a) - float(b))
+        except ValueError:
+            continue
+        if not math.isnan(d):
+            worst = max(worst, d)
+shapes = [(len(t), max(map(len, t), default=0)) for t in tables]
+note = "" if shapes[0] == shapes[1] else f" (rows x columns {shapes[0]} vs {shapes[1]})"
+print(f"{name}: largest absolute numeric difference {worst!r}{note}")
+PY
+
 pipeline "$tmp/ref-tree" "$tmp/ref"
 pipeline "$repo" "$tmp/work"
 
@@ -99,6 +125,9 @@ else
         if [ -f "$a" ] && ! cmp -s "$a" "$b" && grep -Iq . "$a" "$b"; then
             diff -u --label "$ref:${f#./}" --label "work:${f#./}" "$a" "$b" \
                 | head -n 20 || true
+            case $f in
+                *.csv) python3 "$tmp/maxdiff.py" "${f#./}" "$a" "$b" ;;
+            esac
         fi
     done
     echo "artifacts differ between $ref and the working tree" >&2

@@ -160,8 +160,16 @@ def iou_bev_aa(a: Box3D, b: Box3D) -> float:
     return float(iou_aa(box_extents([a]), box_extents([b]))[0, 0])
 
 
+ENVELOPE_GAP = 1e-9  # m; far above the rounding of corners and envelopes
+
+
 def iou_bev_rotated(a: Box3D, b: Box3D) -> float:
-    """IoU of the rotated BEV footprints via convex polygon clipping."""
+    """IoU of the rotated BEV footprints via convex polygon clipping; 0 with no
+    clipping when their envelopes lie more than ENVELOPE_GAP apart."""
+    ea, eb = aa_envelope(a), aa_envelope(b)
+    if (abs(ea.cx - eb.cx) - 0.5 * (ea.l + eb.l) > ENVELOPE_GAP
+            or abs(ea.cy - eb.cy) - 0.5 * (ea.w + eb.w) > ENVELOPE_GAP):
+        return 0.0
     inter = intersection_area_bev(a, b)
     if inter <= 0.0:
         return 0.0

@@ -47,32 +47,46 @@ def feature_length(num_slices: int, pool_blocks: int) -> int:
     return pool_blocks * pool_blocks * (2 * num_slices + 2) + FEAT_GEOM
 
 
+def _block_spans(n: int, k: int):
+    """Starts and lengths of the nonempty blocks of ``np.array_split(np.arange(n),
+    k)``: the first n mod k blocks are one cell longer."""
+    q, extra = divmod(n, k)
+    lengths = [q + 1] * extra + [q] * (min(n, k) - extra)
+    return [j * q + min(j, extra) for j in range(len(lengths))], lengths
+
+
+def _block_features(mx, sm, rows, cols, pool_blocks, z_min):
+    """Per block, row-major: S height maxes and means, density mean and max,
+    from (..., len(rows), len(cols), S + 1) stats of blocks with lengths
+    ``rows`` x ``cols``. Missing blocks get the height sentinel, zero density."""
+    m_r, m_c, ch = mx.shape[-3:]
+    out = np.zeros(mx.shape[:-3] + (pool_blocks, pool_blocks, 2 * ch))
+    out[..., :2 * ch - 2] = z_min
+    out[..., :m_r, :m_c, :ch - 1] = mx[..., :-1]
+    out[..., :m_r, :m_c, ch - 1:-1] = sm / np.outer(rows, cols)[:, :, None]
+    out[..., :m_r, :m_c, -1] = mx[..., -1]
+    return out.reshape(mx.shape[:-3] + (-1,))
+
+
 def _pool_stats(heights: np.ndarray, density: np.ndarray, pool_blocks: int,
                 z_min: float) -> np.ndarray:
-    """Pooled block stats over the trailing (R, C[, S]) axes.
+    """Pooled block stats over the trailing (R, C[, S]) axes, after any batch axes.
+    Block maxes and sums are reduced over rows, then columns, as in ``anchor_features``."""
+    stack = np.concatenate([heights, density[..., None]], axis=-1)
+    (r_at, rows), (c_at, cols) = (_block_spans(n, pool_blocks) for n in stack.shape[-3:-1])
+    mx, sm = (f.reduceat(f.reduceat(stack, r_at, axis=-3), c_at, axis=-2)
+              for f in (np.maximum, np.add))
+    return _block_features(mx, sm, rows, cols, pool_blocks, z_min)
 
-    Accepts leading batch axes; empty sub-blocks (window smaller than the
-    block layout) report the height sentinel and zero density.
-    """
-    n_rows, n_cols, n_slices = heights.shape[-3], heights.shape[-2], heights.shape[-1]
-    lead = heights.shape[:-3]
-    row_chunks = np.array_split(np.arange(n_rows), pool_blocks)
-    col_chunks = np.array_split(np.arange(n_cols), pool_blocks)
-    pieces = []
-    for rc in row_chunks:
-        for cc in col_chunks:
-            if len(rc) == 0 or len(cc) == 0:
-                pieces.append(np.full(lead + (n_slices,), z_min))
-                pieces.append(np.full(lead + (n_slices,), z_min))
-                pieces.append(np.zeros(lead + (2,)))
-                continue
-            hs = heights[..., rc[0]:rc[-1] + 1, cc[0]:cc[-1] + 1, :]
-            ds = density[..., rc[0]:rc[-1] + 1, cc[0]:cc[-1] + 1]
-            pieces.append(hs.max(axis=(-3, -2)))
-            pieces.append(hs.mean(axis=(-3, -2)))
-            pieces.append(np.stack([ds.mean(axis=(-2, -1)), ds.max(axis=(-2, -1))],
-                                   axis=-1))
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in pieces], axis=-1)
+
+def _window_blocks(ufunc, a, starts, n, pool_blocks, axis):
+    """``_pool_stats``'s reduction along the negative ``axis`` of the n-cell windows
+    at the sorted, distinct ``starts``: block j of window i is entry i * (m + 1) + j,
+    m the number of nonempty blocks, and the entry after each window is filler."""
+    a = a[(Ellipsis, slice(starts[0], starts[-1] + n)) + (slice(None),) * (-axis - 1)]
+    # each window's end bounds its last block; the last end is the slice's end
+    bounds = np.append(_block_spans(n, pool_blocks)[0], n)
+    return ufunc.reduceat(a, (starts[:, None] - starts[0] + bounds).ravel()[:-1], axis=axis)
 
 
 CELL_EDGE_TOL = 1e-9  # cells
@@ -82,9 +96,12 @@ def cell_range(lo, hi, origin, res):
     """Unclipped first and last index of the cells whose centers ``origin + (i +
     0.5) * res`` lie in ``[lo, hi]`` (first > last if none). A center within
     CELL_EDGE_TOL of an edge counts as inside, so float noise cannot shrink a window."""
-    first = np.ceil((lo - origin) / res - 0.5 - CELL_EDGE_TOL)
-    last = np.floor((hi - origin) / res - 0.5 + CELL_EDGE_TOL)
-    return first.astype(np.int64), last.astype(np.int64)
+    # // floors Python floats and arrays alike, and ceil(x) is -((-x) // 1)
+    first = -(((origin - lo) / res + 0.5 + CELL_EDGE_TOL) // 1)
+    last = ((hi - origin) / res - 0.5 + CELL_EDGE_TOL) // 1
+    if isinstance(first, np.ndarray):
+        return first.astype(np.int64), last.astype(np.int64)
+    return int(first), int(last)
 
 
 def featurize(grid: BevGrid, candidate: Box3D, pool_blocks: int = 3) -> np.ndarray:
@@ -186,10 +203,10 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
 def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.ndarray:
     """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
 
-    Anchors whose window lies inside the grid are pooled by a batched
-    gather, one group of one shape, bin and window size at a time; the
-    rest, near the border, go through ``featurize``, which clips.
-    """
+    Inner anchors are pooled one group of one shape, bin and window size at a
+    time: the block rows are reduced once per distinct window start row across
+    the group's columns, then each anchor's blocks from that strip, with the
+    reductions of ``_pool_stats``. Border anchors go through ``featurize``."""
     spec = grid.spec
     res = spec.xy_resolution
     r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
@@ -199,6 +216,7 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
     feat = np.empty((len(aset), feature_length(spec.num_slices, pool_blocks)))
     feat[:, -FEAT_GEOM:] = np.column_stack([aset.l, aset.w, aset.h,
                                             np.full(len(aset), aset.layout.z_center)])
+    stack = np.concatenate([grid.heights, grid.density[..., None]], axis=-1)
     # one int per (shape, bin, window size), 50x faster than np.unique(axis=0)
     dims = (len(aset.layout.shapes), 2, spec.n_rows, spec.n_cols)
     keys = np.ravel_multi_index((aset.shape_idx, aset.bin90, r1 - r0, c1 - c0), dims,
@@ -206,11 +224,22 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
     for key in np.unique(keys[inner]):
         sel = np.flatnonzero(inner & (keys == key))
         _, _, last_r, last_c = np.unravel_index(key, dims)
-        r_idx = (r0[sel, None] + np.arange(last_r + 1))[:, :, None]
-        c_idx = (c0[sel, None] + np.arange(last_c + 1))[:, None, :]
-        # the gathered windows are temporaries, freed before the next group
-        feat[sel, :-FEAT_GEOM] = _pool_stats(
-            grid.heights[r_idx, c_idx, :], grid.density[r_idx, c_idx], pool_blocks, spec.z_min)
+        (_, len_r), (_, len_c) = (_block_spans(n + 1, pool_blocks) for n in (last_r, last_c))
+        rows, row_of = np.unique(r0[sel], return_inverse=True)
+        lo, hi = c0[sel].min(), c1[sel].max() + 1
+        # flat index of each anchor's row blocks in the (row block, column) strip
+        starts = (((len(len_r) + 1) * row_of[:, None] + np.arange(len(len_r))) * (hi - lo)
+                  + (c0[sel] - lo)[:, None]).ravel()
+        starts, at = np.unique(starts, return_inverse=True)
+        stats = []
+        for f in (np.maximum, np.add):
+            strip = _window_blocks(f, stack[:, lo:hi], rows, last_r + 1, pool_blocks, -3)
+            blocks = _window_blocks(f, strip.reshape(-1, stack.shape[-1]), starts, last_c + 1,
+                                    pool_blocks, -2)
+            stats.append(blocks[(len(len_c) + 1) * at[:, None] + np.arange(len(len_c))]
+                         .reshape(len(sel), len(len_r), len(len_c), -1))
+            del strip, blocks  # peak memory: one strip and one block table at a time
+        feat[sel, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks, spec.z_min)
     for i in np.flatnonzero(~inner):
         feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
     return feat

@@ -162,6 +162,25 @@ class TestRotatedIoU:
             assert iou_bev_rotated(a, b) == pytest.approx(iou_bev_rotated(a2, b2),
                                                           abs=1e-9)
 
+    def test_envelope_early_out_agrees_with_the_clipper(self):
+        rng = np.random.default_rng(8)
+        disjoint = 0
+        for _ in range(2000):
+            a, b = random_box(rng, 6.0), random_box(rng, 6.0)
+            ea, eb = aa_envelope(a), aa_envelope(b)
+            if (abs(ea.cx - eb.cx) > 0.5 * (ea.l + eb.l)
+                    or abs(ea.cy - eb.cy) > 0.5 * (ea.w + eb.w)):
+                disjoint += 1
+                assert intersection_area_bev(a, b) == 0.0
+                assert iou_bev_rotated(a, b) == 0.0
+        assert disjoint > 500
+        # touching and barely overlapping footprints still go to the clipper
+        a = Box3D(0.0, 0.0, 0.8, 4.0, 2.0, 1.5, 0.0)
+        for gap in (0.0, -1e-12, 1e-12):
+            b = Box3D(4.0 + gap, 0.3, 0.8, 4.0, 2.0, 1.5, 0.0)
+            area = intersection_area_bev(a, b)
+            assert iou_bev_rotated(a, b) == (area / (16.0 - area) if area > 0.0 else 0.0)
+
     def test_monte_carlo_cross_check(self):
         rng = np.random.default_rng(5)
         for _ in range(12):

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE1_OUTPUTS, STAGE2_HEADS,
                             save_detections, save_params, stage1_backward,
                             stage1_forward, stage2_backward, stage2_forward,
                             train)
-from lidardet.model import _pool_stats
+from lidardet.model import _block_spans, _pool_stats
 from lidardet.pcio import PointCloud
 from lidardet.synthgen import SceneSpec, generate_scenes
 
@@ -86,6 +87,40 @@ class TestPooling:
             np.testing.assert_allclose(batched[b],
                                        _pool_stats(h[b], d[b], 2, 0.0),
                                        atol=1e-12)
+
+    def test_block_spans_match_array_split(self):
+        for n in range(61):
+            for k in range(1, 6):
+                chunks = [c for c in np.array_split(np.arange(n), k) if len(c)]
+                assert _block_spans(n, k) == ([int(c[0]) for c in chunks],
+                                              [len(c) for c in chunks])
+
+    def test_featurize_matches_brute_pool_on_random_clipped_windows(self):
+        grid = small_grid(9)
+        spec, res = grid.spec, grid.spec.xy_resolution
+        rng = np.random.default_rng(21)
+        tiny = 0
+        for _ in range(300):
+            blocks = int(rng.integers(1, 5))
+            # unclipped first/last cells, each window meeting the grid; a
+            # footprint reaching a quarter cell past the end centers covers
+            # exactly those cells
+            n_r, n_c = rng.choice([1, 1, 2, 3, 5, 8, 13], 2)
+            r_lo = int(rng.integers(1 - n_r, spec.n_rows))
+            c_lo = int(rng.integers(1 - n_c, spec.n_cols))
+            x0 = spec.x_min + (r_lo + 0.25) * res
+            y0 = spec.y_min + (c_lo + 0.25) * res
+            l, w = (n_r - 0.5) * res, (n_c - 0.5) * res
+            cand = Box3D(x0 + 0.5 * l, y0 + 0.5 * w, 0.8, l, w, 1.5, 0.0)
+            rows = slice(max(r_lo, 0), min(r_lo + n_r, spec.n_rows))
+            cols = slice(max(c_lo, 0), min(c_lo + n_c, spec.n_cols))
+            window_h, window_d = grid.heights[rows, cols], grid.density[rows, cols]
+            tiny += min(window_d.shape) < blocks
+            want = np.concatenate([brute_pool(window_h, window_d, blocks, spec.z_min),
+                                   [l, w, 1.5, 0.8]])
+            np.testing.assert_allclose(featurize(grid, cand, blocks), want, rtol=0.0,
+                                       atol=1e-12)
+        assert tiny > 50  # windows smaller than the block layout, 1x1 among them
 
     def test_window_smaller_than_blocks_pads_with_sentinel(self):
         h = np.full((1, 1, 2), 3.0)
@@ -206,6 +241,34 @@ class TestAnchors:
         # a subset in any order pools as the whole set does
         idx = rng.permutation(len(aset))[:300]
         np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3), feats[idx])
+
+    def test_anchor_features_equal_featurize_bit_for_bit(self):
+        # the lattice path and featurize run the same reductions in the same order
+        grid = small_grid(5, n=3000)
+        aset = build_anchor_set(self.LAYOUT, SMALL)
+        for blocks in (1, 2, 3, 4):
+            want = np.stack([featurize(grid, aset.box(i), blocks) for i in range(len(aset))])
+            np.testing.assert_array_equal(anchor_features(grid, aset, blocks), want)
+
+    def test_anchor_features_peak_memory_is_small_against_its_output(self):
+        # the paper's range at 0.2 m: 350 x 400 cells, 34,800 anchors; no
+        # anchors x window cells temporary
+        spec = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.2, 5, 0.5)
+        rng = np.random.default_rng(13)
+        n = 60000
+        pts = np.column_stack([rng.uniform(0, 70, n), rng.uniform(-40, 40, n),
+                               rng.uniform(0, 2.5, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        layout = AnchorLayout(shapes=((3.9, 1.6, 1.5), (4.6, 1.9, 1.6)), stride=4)
+        aset = build_anchor_set(layout, spec)
+        assert len(aset) == 34800
+        tracemalloc.start()
+        try:
+            feats = anchor_features(grid, aset, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * feats.nbytes
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
