@@ -4,7 +4,8 @@
 # seed 7) on a committed git ref and on the working tree, then compare
 # every output file, printed output included, byte for byte. Each side
 # also writes pools.sha256: one sha256 of the build_training_set packs per
-# training split of acceptance criteria 7, 8 (five seeds) and 9.
+# training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
+# more splits (twelve cars per scene; car-free scenes among others).
 #
 #   scripts/pipeline_diff.sh <git-ref>
 #
@@ -57,7 +58,9 @@ pipeline() {  # <source tree> <output dir>
 
 # The training splits of tests/test_acceptance.py criteria 7-9, with their
 # scene specs, k-means layout and training seeds; the other TrainConfig
-# fields they set do not enter build_training_set.
+# fields they set do not enter build_training_set. Two more splits: twelve
+# cars per scene, where mirror-symmetric anchors tie in the best anchor per
+# truth to the last bit, and a split with car-free scenes among others.
 cat > "$tmp/pools.py" <<'PY'
 import hashlib
 from dataclasses import astuple
@@ -69,14 +72,19 @@ from lidardet.model import AnchorLayout, TrainConfig, build_training_set
 from lidardet.synthgen import DEFAULT_SCENE_RANGE, SceneSpec, generate_scenes
 
 BENCH_SCENE = dict(num_cars=6, x_min=20.0, point_budget=1000, density_exponent=1.2)
-SPLITS = ([("criterion-7", SceneSpec(seed=100, **BENCH_SCENE), 200, 0)]
-          + [(f"criterion-8-seed-{k}", SceneSpec(seed=100 + 1000 * k, **BENCH_SCENE),
-              150, k) for k in range(5)]
-          + [("criterion-9", SceneSpec(seed=100, num_cars=6, x_min=22.0, x_max=34.0,
-                                       point_budget=1000, density_exponent=1.2,
-                                       noise_angle=0.25, p_base=0.8), 150, 0)])
-for name, spec, count, seed in SPLITS:
-    scenes = generate_scenes(spec, count)
+CAR_FREE = dict(BENCH_SCENE, num_cars=0)
+SPLITS = ([("criterion-7", [(SceneSpec(seed=100, **BENCH_SCENE), 200)], 0)]
+          + [(f"criterion-8-seed-{k}", [(SceneSpec(seed=100 + 1000 * k, **BENCH_SCENE),
+                                         150)], k) for k in range(5)]
+          + [("criterion-9", [(SceneSpec(seed=100, num_cars=6, x_min=22.0, x_max=34.0,
+                                         point_budget=1000, density_exponent=1.2,
+                                         noise_angle=0.25, p_base=0.8), 150)], 0),
+             ("twelve-cars-seed-7", [(SceneSpec(seed=7, num_cars=12), 40)], 7),
+             ("car-free-mix", [(SceneSpec(seed=300, **BENCH_SCENE), 10),
+                               (SceneSpec(seed=301, **CAR_FREE), 3),
+                               (SceneSpec(seed=302, **BENCH_SCENE), 10)], 0)])
+for name, parts, seed in SPLITS:
+    scenes = [s for spec, count in parts for s in generate_scenes(spec, count)]
     dims = np.array([[g.box.l, g.box.w, g.box.h] for s in scenes for g in s.gts])
     layout = AnchorLayout(shapes=tuple(map(tuple, kmeans_anchor_dims(dims, k=2, seed=0))))
     packs = build_training_set(scenes, layout, DEFAULT_SCENE_RANGE,

@@ -13,8 +13,8 @@ from .bevraster import BevGrid, RangeSpec, rasterize, read_grid, write_grid
 from .boxgeom import (Box3D, ScoredBox, aa_envelope, bev_corners,
                       intersection_area_bev, iou_3d, iou_bev_aa,
                       iou_bev_rotated, nms, nms_indices, wrap_angle)
-from .codec import (AssignLabel, Assignment, assign, decode_frh, decode_rpn,
-                    encode_frh, encode_rpn, kmeans_anchor_dims)
+from .codec import (assign, decode_frh, decode_rpn, encode_frh, encode_rpn,
+                    kmeans_anchor_dims)
 from .errors import (BadEdges, ConfigError, DegenerateInput, DivergenceError,
                      FormatError, InsufficientData, NoGroundTruth, OutOfGrid,
                      PlacementError, ShapeError, SpecError)

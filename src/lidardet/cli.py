@@ -37,6 +37,16 @@ ANALYSES = ("tv-vs-distance", "tv-vs-score", "tv-vs-angle", "difficulty-hist",
             "rpn-vs-frh", "loc-vs-orient")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _cmd_rasterize(args) -> int:
     cfg = load_config(args.spec)
     spec = make_range_spec(cfg)
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic labeled scenes")
     p.add_argument("--spec", required=True, help="config file with scene.* keys")
-    p.add_argument("--count", type=int, required=True, help="number of scenes")
+    p.add_argument("--count", type=_positive_int, required=True, help="number of scenes")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--rtol", type=float, default=1e-4, help="relative tolerance")
-    p.add_argument("--seeds", type=int, default=20, help="number of seeds")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="number of seeds")
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -1,4 +1,5 @@
-"""Anchor fitting and box/target codecs for the two detection stages.
+"""Anchor fitting, box/target codecs and IoU-threshold assignment for the
+two detection stages.
 
 Stage 1 (region proposals) works entirely with yaw-free boxes: anchors are
 fitted by k-means over ground-truth dimensions and offsets are encoded
@@ -10,13 +11,11 @@ extent pair, with heading carried separately as (cos, sin).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .boxgeom import Box3D, bev_corners, box_extents, iou_aa, wrap_angle
+from .boxgeom import Box3D, bev_corners, wrap_angle
 from .errors import InsufficientData
 
 RPN_DIM = 6
@@ -35,6 +34,8 @@ def kmeans_anchor_dims(gt_dims, k: int = 2, seed: int = 0, max_iter: int = 100) 
     pts = np.asarray(gt_dims, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"gt_dims must have shape (N, 3), got {pts.shape}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n = len(pts)
     if n < k:
         raise InsufficientData(f"need at least {k} samples, got {n}")
@@ -156,40 +157,20 @@ def decode_frh(roi: Box3D, t_v: np.ndarray, r_v: np.ndarray,
                  max(z_top - z_bottom, 1e-3), wrap_angle(yaw))
 
 
-class AssignLabel(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    IGNORE = "ignore"
+def assign(iou: np.ndarray, pos_threshold: float, neg_threshold: float):
+    """IoU-threshold labels for an (N, M) candidate-by-truth IoU matrix.
 
-
-@dataclass
-class Assignment:
-    label: AssignLabel
-    matched_gt_index: Optional[int]
-
-
-def assign(candidates: Sequence[Box3D], gts: Sequence[Box3D],
-           pos_threshold: float, neg_threshold: float) -> list[Assignment]:
-    """Threshold candidates into positive/negative/ignore by max AA IoU.
-
-    A candidate is positive at or above ``pos_threshold`` (matched to the
-    gt of highest IoU, lowest index on ties), negative strictly below
-    ``neg_threshold``, and ignored in between. With no gts everything is
-    negative.
+    Returns ``(labels, matched)``, both int64 of length N. A candidate is
+    positive (1) when its highest IoU is at or above ``pos_threshold``,
+    negative (0) when it is strictly below ``neg_threshold``, and ignored
+    (-1) in between; with no truths its highest IoU counts as 0 and it is
+    never positive. ``matched`` is the index of the truth of highest IoU
+    (lowest index on ties) for positives and -1 for every other candidate.
     """
     if not pos_threshold >= neg_threshold:
         raise ValueError(f"pos_threshold {pos_threshold} must be >= neg_threshold {neg_threshold}")
-    if len(gts) == 0:
-        return [Assignment(AssignLabel.NEGATIVE, None) for _ in candidates]
-    iou = iou_aa(box_extents(candidates), box_extents(gts))
-    best = iou.argmax(axis=1)
-    best_iou = iou[np.arange(len(candidates)), best]
-    out = []
-    for i in range(len(candidates)):
-        if best_iou[i] >= pos_threshold:
-            out.append(Assignment(AssignLabel.POSITIVE, int(best[i])))
-        elif best_iou[i] < neg_threshold:
-            out.append(Assignment(AssignLabel.NEGATIVE, None))
-        else:
-            out.append(Assignment(AssignLabel.IGNORE, None))
-    return out
+    best_iou = iou.max(axis=1, initial=0.0)
+    best = iou.argmax(axis=1) if iou.shape[1] else np.full(len(iou), -1, dtype=np.int64)
+    positive = (best_iou >= pos_threshold) & (best >= 0)
+    labels = np.where(positive, 1, np.where(best_iou < neg_threshold, 0, -1))
+    return labels.astype(np.int64), np.where(positive, best, -1).astype(np.int64)

@@ -65,10 +65,15 @@ def average_precision(num_gt: int, scores, is_tp, forty_point: bool = False) -> 
     if scores.shape != flags.shape or scores.ndim != 1:
         raise ValueError("scores and is_tp must be equal-length 1-D")
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    tp = np.cumsum(flags[order])
-    ranks = np.arange(1, len(order) + 1)
+    return _precision_recall(num_gt, flags[order], forty_point)[0]
+
+
+def _precision_recall(num_gt: int, flags: np.ndarray, forty_point: bool):
+    """(AP, recalls, precisions) of true-positive flags in descending-score
+    order; the curves hold one point per detection."""
+    tp = np.cumsum(flags)
     recalls = tp / num_gt
-    precisions = tp / ranks
+    precisions = tp / np.arange(1, len(flags) + 1)
     if forty_point:
         grid = [(i + 1) / 40 for i in range(40)]
     else:
@@ -77,7 +82,7 @@ def average_precision(num_gt: int, scores, is_tp, forty_point: bool = False) -> 
     for r in grid:
         attained = precisions[recalls >= r]
         total += float(attained.max()) if len(attained) else 0.0
-    return total / len(grid)
+    return total / len(grid), recalls, precisions
 
 
 @dataclass
@@ -90,7 +95,8 @@ class EvalResult:
 
 
 def _sweep(dets_per_scene, gts_per_scene, results, difficulty):
-    """Pool per-scene match results into one score sweep.
+    """Pool per-scene match results into one sweep: the number of active
+    truths, true-positive flags in descending-score order, and the matches.
 
     With a difficulty filter, truths of other difficulties are ignored:
     detections matched to them count neither as hits nor as false
@@ -111,9 +117,8 @@ def _sweep(dets_per_scene, gts_per_scene, results, difficulty):
                 entries.append((float(det.score), s, i, True))
                 matches.append((s, i, hit[0], hit[1]))
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    scores = np.array([e[0] for e in entries], dtype=np.float64)
     flags = np.array([e[3] for e in entries], dtype=bool)
-    return num_gt, scores, flags, matches
+    return num_gt, flags, matches
 
 
 DIFFICULTY_NAMES = ("Easy", "Moderate", "Hard")
@@ -131,17 +136,13 @@ def evaluate(dets_per_scene, gts_per_scene, iou_fn: Callable, iou_threshold: flo
         raise ValueError("detections and ground truths must pair per scene")
     results = [match(dets, [g.box for g in gts], iou_fn, iou_threshold)
                for dets, gts in zip(dets_per_scene, gts_per_scene)]
-    num_gt, scores, flags, matches = _sweep(dets_per_scene, gts_per_scene, results, None)
+    num_gt, flags, matches = _sweep(dets_per_scene, gts_per_scene, results, None)
     if num_gt == 0:
         raise NoGroundTruth("no ground-truth objects in evaluation set")
-    ap = average_precision(num_gt, scores, flags, forty_point)
-    tp = np.cumsum(flags)
-    ranks = np.arange(1, len(flags) + 1)
-    recalls = tp / num_gt
-    precisions = tp / np.maximum(ranks, 1)
+    ap, recalls, precisions = _precision_recall(num_gt, flags, forty_point)
     by_difficulty = {}
     for name in DIFFICULTY_NAMES:
-        n, sc, fl, _ = _sweep(dets_per_scene, gts_per_scene, results, name)
+        n, fl, _ = _sweep(dets_per_scene, gts_per_scene, results, name)
         if n > 0:
-            by_difficulty[name] = average_precision(n, sc, fl, forty_point)
+            by_difficulty[name] = _precision_recall(n, fl, forty_point)[0]
     return EvalResult(ap, recalls, precisions, matches, by_difficulty)

@@ -33,7 +33,7 @@ import numpy as np
 from .bevraster import BevGrid, RangeSpec, rasterize
 from .boxgeom import (Box3D, ScoredBox, aa_envelope, aa_extents, box_extents, iou_aa,
                       nms_indices)
-from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, AssignLabel, assign,
+from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, assign,
                     decode_frh, decode_rpn, encode_frh, encode_rpn)
 from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError, require_finite
 from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
@@ -672,26 +672,14 @@ class TrainingSet:
     feat_len: int
 
 
-def _label_array(assignments) -> np.ndarray:
-    out = np.empty(len(assignments), dtype=np.int64)
-    for i, a in enumerate(assignments):
-        if a.label is AssignLabel.POSITIVE:
-            out[i] = 1
-        elif a.label is AssignLabel.NEGATIVE:
-            out[i] = 0
-        else:
-            out[i] = -1
-    return out
-
-
 def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
                        cfg: TrainConfig, rpn_pos: float = 0.5, rpn_neg: float = 0.3,
                        frh_pos: float = 0.65, frh_neg: float = 0.55) -> TrainingSet:
     """Rasterize scenes and freeze per-scene candidate pools.
 
-    Stage 1 pools every anchor matching a truth envelope (capped, with
-    the best anchor per truth force-included) plus sampled background
-    anchors. Stage 2 pools each truth's exact envelope and jittered
+    Both stages label candidates with ``codec.assign``. Stage 1 pools the
+    positive anchors, highest IoU first and capped, then the best anchor
+    per truth force-included, plus sampled negative anchors. Stage 2 pools each truth's exact envelope and jittered
     copies plus near-miss and random negatives, labeled by the stricter
     second-stage thresholds; positive rows encode the true rotated box.
     """
@@ -710,28 +698,29 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         sigmas = np.array([n.sigma_label for n in scene.noise], dtype=np.float64)
 
         # stage 1: anchor pool against truth envelopes
-        iou = iou_aa(anchor_ext, box_extents(envs))
-        best_iou = iou.max(axis=1, initial=0.0)
-
-        pos = [int(i) for i in np.argsort(-best_iou, kind="stable")
-               if best_iou[i] >= rpn_pos][:cfg.pos_cap]
-        forced = set(pos)
-        for j, a in enumerate(iou.argmax(axis=0).tolist()):
-            if iou[a, j] > 0.0 and a not in forced:
-                forced.add(a)
-                pos.append(a)
-        neg_pool = np.where(best_iou < rpn_neg)[0]
+        truth_ext = box_extents(envs)
+        iou = iou_aa(anchor_ext, truth_ext)
+        labels, matched = assign(iou, rpn_pos, rpn_neg)
+        above = np.flatnonzero(labels == 1)
+        ranked = above[np.argsort(-iou[above, matched[above]], kind="stable")][:cfg.pos_cap]
+        best = iou.argmax(axis=0)
+        forced = best[iou[best, np.arange(len(envs))] > 0.0]
+        forced = forced[np.sort(np.unique(forced, return_index=True)[1])]
+        pos = np.concatenate([ranked, forced[~np.isin(forced, ranked)]])
+        neg_pool = np.flatnonzero(labels == 0)
         n_neg = min(cfg.neg_per_scene, len(neg_pool))
-        neg = sorted(int(i) for i in rng.choice(neg_pool, size=n_neg, replace=False))
-        sel = pos + neg
+        neg = np.sort(rng.choice(neg_pool, size=n_neg, replace=False))
+        sel = np.concatenate([pos, neg])
         x1 = anchor_features(grid, aset.take(sel), cfg.pool_blocks)
-        rpn_cls = np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
+        rpn_cls = np.zeros(len(sel), dtype=np.int64)
+        rpn_cls[:len(pos)] = 1
+        # forced anchors may lie below rpn_pos, so match every pooled row
+        truth = iou[pos].argmax(axis=1) if len(pos) else pos
         rpn_reg = np.zeros((len(sel), RPN_DIM))
-        rpn_sigma = np.zeros(len(sel))
-        for row, a in enumerate(pos):
-            j = int(iou[a].argmax())
+        for row, (a, j) in enumerate(zip(pos.tolist(), truth.tolist())):
             rpn_reg[row] = encode_rpn(aset.box(a), envs[j])
-            rpn_sigma[row] = sigmas[j]
+        rpn_sigma = np.zeros(len(sel))
+        rpn_sigma[:len(pos)] = sigmas[truth]
 
         # stage 2: truth-anchored ROIs plus negatives
         cands = []
@@ -753,17 +742,14 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
                 cands.append(Box3D(rng.uniform(spec.x_min + 3, spec.x_max - 3),
                                    rng.uniform(spec.y_min + 3, spec.y_max - 3),
                                    0.8, 4.2, 1.8, 1.6, 0.0))
-        assignments = assign(cands, envs, frh_pos, frh_neg)
-        frh_cls = _label_array(assignments)
+        frh_cls, matched = assign(iou_aa(box_extents(cands), truth_ext), frh_pos, frh_neg)
+        hits = np.flatnonzero(frh_cls == 1)
         frh_loc = np.zeros((len(cands), FRH_LOC_DIM))
         frh_orient = np.zeros((len(cands), FRH_ORIENT_DIM))
+        for i in hits.tolist():
+            frh_loc[i], frh_orient[i] = encode_frh(cands[i], scene.gts[matched[i]].box)
         frh_sigma = np.zeros(len(cands))
-        for i, a in enumerate(assignments):
-            if a.label is AssignLabel.POSITIVE:
-                t_v, r_v = encode_frh(cands[i], scene.gts[a.matched_gt_index].box)
-                frh_loc[i] = t_v
-                frh_orient[i] = r_v
-                frh_sigma[i] = sigmas[a.matched_gt_index]
+        frh_sigma[hits] = sigmas[matched[hits]]
         x2 = np.stack([featurize(grid, c, cfg.pool_blocks) for c in cands]) \
             if cands else np.zeros((0, feature_length(spec.num_slices, cfg.pool_blocks)))
         packs.append(ScenePack(x1=x1, rpn_cls=rpn_cls, rpn_reg=rpn_reg,

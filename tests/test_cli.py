@@ -147,6 +147,14 @@ class TestExitCodes:
         assert run(["analyze", "--records", "r.csv", "--analysis", "nope",
                     "--out", "o.csv"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--spec", "c.cfg", "--count", "0", "--out", "s"],
+        ["synth", "--spec", "c.cfg", "--count", "-2", "--out", "s"],
+        ["gradcheck", "--seeds", "-5"], ["gradcheck", "--seeds", "0"]])
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        assert run(argv) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "lidardet" in capsys.readouterr().out
@@ -247,6 +255,17 @@ class TestBoundaries:
                     "--log", str(tmp_path / "l.csv")])
         assert code == 1
         assert f"{name} must be in" in self._one_line_error(capsys)
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("clusters", [0, -1])
+    def test_anchor_clusters_below_one(self, workspace, tmp_path, capsys, clusters):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + f"anchor.clusters = {clusters}\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert f"k must be >= 1, got {clusters}" in self._one_line_error(capsys)
         assert not (tmp_path / "m.bin").exists()
 
     def test_nan_detection_score(self, tmp_path, capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lidardet.boxgeom import Box3D, box_extents, iou_aa, iou_bev_rotated
-from lidardet.codec import (AssignLabel, FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM,
-                            assign, decode_frh, decode_rpn, encode_frh,
-                            encode_rpn, kmeans_anchor_dims)
+from lidardet.codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, assign,
+                            decode_frh, decode_rpn, encode_frh, encode_rpn,
+                            kmeans_anchor_dims)
 from lidardet.errors import InsufficientData
 
 
@@ -145,6 +145,11 @@ class TestKmeans:
         with pytest.raises(InsufficientData):
             kmeans_anchor_dims(np.array([[4.0, 2.0, 1.5]]), k=2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cluster_count_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans_anchor_dims(np.array([[4.0, 2.0, 1.5]] * 3), k=k)
+
 
 class TestIouMatrix:
     def test_matches_scalar_reference(self):
@@ -169,35 +174,65 @@ class TestIouMatrix:
         assert iou_aa(box_extents([box]), box_extents([])).shape == (1, 0)
 
 
+def iou_of(candidates, gts):
+    return iou_aa(box_extents(candidates), box_extents(gts))
+
+
 class TestAssign:
     def test_thresholds_and_labels(self):
         gt = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
         exact = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
         near = Box3D(0.5, 0, 0.8, 4, 2, 1.5, 0.0)   # IoU 7/9
         far = Box3D(20, 0, 0.8, 4, 2, 1.5, 0.0)
-        out = assign([exact, near, far], [gt], 0.8, 0.3)
-        assert out[0].label is AssignLabel.POSITIVE
-        assert out[0].matched_gt_index == 0
-        assert out[1].label is AssignLabel.IGNORE
-        assert out[2].label is AssignLabel.NEGATIVE
-        assert out[2].matched_gt_index is None
+        labels, matched = assign(iou_of([exact, near, far], [gt]), 0.8, 0.3)
+        assert labels.tolist() == [1, -1, 0]
+        assert matched.tolist() == [0, -1, -1]
+
+    def test_dtypes_and_shapes(self):
+        for shape in ((4, 3), (4, 0), (0, 3), (0, 0)):
+            labels, matched = assign(np.zeros(shape), 0.5, 0.3)
+            assert labels.dtype == np.int64 and matched.dtype == np.int64
+            assert labels.shape == matched.shape == (shape[0],)
 
     def test_positive_at_threshold_boundary(self):
         gt = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
         near = Box3D(0.5, 0, 0.8, 4, 2, 1.5, 0.0)   # IoU 7/9 exactly
-        out = assign([near], [gt], 7.0 / 9.0, 0.3)
-        assert out[0].label is AssignLabel.POSITIVE
+        iou = iou_of([near], [gt])
+        assert iou[0, 0] == 7.0 / 9.0
+        labels, matched = assign(iou, 7.0 / 9.0, 0.3)
+        assert labels.tolist() == [1] and matched.tolist() == [0]
+        labels, matched = assign(iou, np.nextafter(7.0 / 9.0, 1.0), 0.3)
+        assert labels.tolist() == [-1] and matched.tolist() == [-1]
 
     def test_no_gts_everything_negative(self):
-        boxes = [Box3D(i, 0, 0.8, 4, 2, 1.5, 0.0) for i in range(5)]
-        out = assign(boxes, [], 0.5, 0.3)
-        assert all(o.label is AssignLabel.NEGATIVE for o in out)
+        labels, matched = assign(np.zeros((5, 0)), 0.5, 0.3)
+        assert labels.tolist() == [0] * 5
+        assert matched.tolist() == [-1] * 5
+
+    def test_no_gts_and_zero_negative_threshold_ignores_everything(self):
+        # with no truths the best IoU counts as 0, and 0 < 0 is false
+        labels, matched = assign(np.zeros((5, 0)), 0.5, 0.0)
+        assert labels.tolist() == [-1] * 5
+        assert matched.tolist() == [-1] * 5
 
     def test_best_gt_tie_breaks_low_index(self):
         gt = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
-        out = assign([gt], [gt, gt], 0.5, 0.3)
-        assert out[0].matched_gt_index == 0
+        labels, matched = assign(iou_of([gt], [gt, gt]), 0.5, 0.3)
+        assert labels.tolist() == [1] and matched.tolist() == [0]
+        labels, matched = assign(np.array([[0.2, 0.9, 0.9]]), 0.5, 0.3)
+        assert matched.tolist() == [1]
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(7)
+        iou = rng.choice([0.0, 0.25, 0.3, 0.5, 0.55, 0.65, 0.9], size=(300, 4))
+        labels, matched = assign(iou, 0.55, 0.3)
+        for i, row in enumerate(iou):
+            j = int(np.argmax(row))
+            if row[j] >= 0.55:
+                assert (labels[i], matched[i]) == (1, j)
+            else:
+                assert (labels[i], matched[i]) == ((0 if row[j] < 0.3 else -1), -1)
 
     def test_bad_threshold_order_rejected(self):
         with pytest.raises(ValueError):
-            assign([], [], 0.3, 0.5)
+            assign(np.zeros((0, 0)), 0.3, 0.5)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from lidardet.bevraster import BevGrid, RangeSpec, rasterize
-from lidardet.boxgeom import Box3D
+from lidardet.boxgeom import Box3D, aa_envelope
+from lidardet.codec import assign, encode_rpn
 from lidardet.errors import FormatError, OutOfGrid, ShapeError
 from lidardet.losses import HeadOutputs
 from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE1_OUTPUTS, STAGE2_HEADS,
@@ -573,7 +574,86 @@ def smoke_training_set(n=2):
     return scenes, ts
 
 
+def list_stage1(iou, rpn_pos, rpn_neg, cfg, rng):
+    """Stage-1 pool selection as per-anchor lists, the form that preceded
+    ``codec.assign``: (positives, negatives, matched truth per positive,
+    number of positives before the forced anchors)."""
+    best_iou = iou.max(axis=1, initial=0.0)
+    pos = [int(i) for i in np.argsort(-best_iou, kind="stable")
+           if best_iou[i] >= rpn_pos][:cfg.pos_cap]
+    n_ranked = len(pos)
+    forced = set(pos)
+    for j, a in enumerate(iou.argmax(axis=0).tolist()):
+        if iou[a, j] > 0.0 and a not in forced:
+            forced.add(a)
+            pos.append(a)
+    neg_pool = np.where(best_iou < rpn_neg)[0]
+    n_neg = min(cfg.neg_per_scene, len(neg_pool))
+    neg = sorted(int(i) for i in rng.choice(neg_pool, size=n_neg, replace=False))
+    return pos, neg, [int(iou[a].argmax()) for a in pos], n_ranked
+
+
 class TestTrainingSet:
+    def test_pools_match_list_reference(self, monkeypatch):
+        cfg = replace(CFG_SMOKE, pos_cap=2)
+        layout = AnchorLayout(shapes=((4.1, 1.8, 1.5),), stride=2)
+        spec = SCENE_SPEC.range_spec
+        scenes = (generate_scenes(replace(SCENE_SPEC, num_cars=5), 2)
+                  + generate_scenes(replace(SCENE_SPEC, num_cars=0, seed=90), 1))
+        matrices = []
+
+        def recording_assign(iou, pos_threshold, neg_threshold):
+            matrices.append(iou)
+            return assign(iou, pos_threshold, neg_threshold)
+
+        monkeypatch.setattr("lidardet.model.assign", recording_assign)
+        ts = build_training_set(scenes, layout, spec, cfg, rpn_pos=0.4)
+        assert len(matrices) == 2 * len(scenes)
+        aset = build_anchor_set(layout, spec)
+        capped_and_forced = 0
+        for idx, (scene, pack) in enumerate(zip(scenes, ts.packs)):
+            iou1, iou2 = matrices[2 * idx:2 * idx + 2]
+            assert iou1.shape == (len(aset), len(scene.gts))
+            rng = np.random.default_rng([cfg.seed, 2, idx])
+            pos, neg, truth, n_ranked = list_stage1(iou1, 0.4, 0.3, cfg, rng)
+            n_above = int((iou1.max(axis=1, initial=0.0) >= 0.4).sum())
+            capped_and_forced += n_above > cfg.pos_cap and len(pos) > n_ranked
+            envs = [aa_envelope(g.box) for g in scene.gts]
+            sigmas = [n.sigma_label for n in scene.noise]
+            np.testing.assert_array_equal(pack.rpn_cls, [1] * len(pos) + [0] * len(neg))
+            np.testing.assert_array_equal(
+                pack.x1, anchor_features(rasterize(scene.cloud, spec),
+                                         aset.take(pos + neg), cfg.pool_blocks))
+            for row, (a, j) in enumerate(zip(pos, truth)):
+                np.testing.assert_array_equal(pack.rpn_reg[row],
+                                              encode_rpn(aset.box(a), envs[j]))
+                assert pack.rpn_sigma[row] == sigmas[j]
+            assert not pack.rpn_reg[len(pos):].any()
+            assert not pack.rpn_sigma[len(pos):].any()
+
+            assert iou2.shape == (len(pack.frh_cls), len(scene.gts))
+            for i, row in enumerate(iou2):
+                j = int(row.argmax()) if len(row) else -1
+                if j >= 0 and row[j] >= 0.65:
+                    assert pack.frh_cls[i] == 1 and pack.frh_sigma[i] == sigmas[j]
+                    yaw = scene.gts[j].box.yaw
+                    assert pack.frh_orient[i].tolist() == [math.cos(yaw), math.sin(yaw)]
+                else:
+                    assert pack.frh_cls[i] == (0 if j < 0 or row[j] < 0.55 else -1)
+                    assert pack.frh_sigma[i] == 0.0
+                    assert not pack.frh_loc[i].any() and not pack.frh_orient[i].any()
+        # the scenes exercise the cap and the forced anchors, and one has no car
+        assert capped_and_forced == 2
+        assert not scenes[-1].gts and not ts.packs[-1].rpn_cls.any()
+
+    def test_car_free_scene_is_negative_only_below_a_positive_threshold(self):
+        scenes = generate_scenes(replace(SCENE_SPEC, num_cars=0), 1)
+        for frh_neg, label in ((0.55, 0), (0.0, -1)):
+            pack = build_training_set(scenes, LAYOUT_SMOKE, SCENE_SPEC.range_spec,
+                                      CFG_SMOKE, frh_neg=frh_neg).packs[0]
+            assert pack.frh_cls.tolist() == [label] * CFG_SMOKE.roi_negatives
+            assert pack.rpn_cls.tolist() == [0] * CFG_SMOKE.neg_per_scene
+
     def test_pack_invariants(self):
         scenes, ts = smoke_training_set()
         assert len(ts.packs) == 2
