@@ -3,6 +3,9 @@
 # (synth x20, train, infer --records, eval, the six analyses, rasterize;
 # seed 7) on a committed git ref and on the working tree, then compare
 # every output file, printed output included, byte for byte. Each side
+# also trains once more with `train.form = laplace` appended to a copy of
+# quick.cfg (model_laplace.bin, train_log_laplace.csv), so that both
+# likelihood forms of the training loss are compared. Each side
 # also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
@@ -39,11 +42,14 @@ pipeline() {  # <source tree> <output dir>
     local src=$1/src out=$2
     mkdir -p "$out"
     cp "$tmp/quick.cfg" "$out/"
+    { cat "$tmp/quick.cfg"; echo "train.form = laplace"; } > "$out/laplace.cfg"
     (
         cd "$out"
         ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
         ldet synth --spec quick.cfg --count 20 --out scenes
         ldet train --data scenes --config quick.cfg --out-params model.bin --log train_log.csv
+        ldet train --data scenes --config laplace.cfg --out-params model_laplace.bin \
+            --log train_log_laplace.csv
         ldet infer --params model.bin --data scenes --out dets --config quick.cfg \
             --records records.csv
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv

@@ -18,8 +18,8 @@ from .codec import (assign, decode_frh, decode_rpn, encode_frh, encode_rpn,
 from .errors import (BadEdges, ConfigError, DegenerateInput, DivergenceError,
                      FormatError, InsufficientData, NoGroundTruth, OutOfGrid,
                      PlacementError, ShapeError, SpecError)
-from .losses import (HeadOutputs, HeadTargets, LossBreakdown, attenuated_term,
-                     cross_entropy, multi_loss, smooth_l1)
+from .losses import (LossBreakdown, attenuated_term, cross_entropy, multi_loss,
+                     smooth_l1)
 from .metrics import EvalResult, MatchResult, average_precision, evaluate, match
 from .model import (AnchorLayout, Detection, InferConfig, ModelParams,
                     TrainConfig, anchor_features, build_anchor_set,

@@ -138,10 +138,16 @@ def read_grid(path):
         magic, version, H, W, C, res, x_min, y_min = struct.unpack(_HEADER_FMT, header)
         if magic != GRID_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != H * W * C:
-        raise FormatError(f"{path}: expected {H * W * C} values, got {data.size}")
-    stacked = data.astype(np.float64).reshape(H, W, C)
+        if version != GRID_VERSION:
+            raise FormatError(f"{path}: grid version {version}, expected {GRID_VERSION}")
+        if C < 2:
+            raise FormatError(f"{path}: {C} channels; a grid has height slices and density")
+        body = fh.read()
+    if len(body) != 4 * H * W * C:
+        raise FormatError(f"{path}: expected {H * W * C} values, got {len(body)} bytes")
+    stacked = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(H, W, C)
+    if not np.isfinite(stacked).all():
+        raise FormatError(f"{path}: non-finite value in grid")
     meta = {"version": version, "rows": H, "cols": W, "channels": C,
             "resolution": float(res), "x_min": float(x_min), "y_min": float(y_min)}
     return stacked[:, :, :-1], stacked[:, :, -1], meta

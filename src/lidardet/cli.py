@@ -25,7 +25,7 @@ from .errors import DegenerateInput
 from .metrics import evaluate
 from .model import (build_training_set, gradcheck, infer, load_detections,
                     load_params, save_detections, save_log, save_params, train)
-from .pcio import load_cloud, load_labels, write_table
+from .pcio import load_cloud, load_labels, positive_float, write_table
 from .synthgen import generate_scenes, load_scene, save_scene, scene_names
 from .uncstats import (DEFAULT_ANGLE_EDGES, DEFAULT_DISTANCE_EDGES,
                        DEFAULT_SCORE_EDGES, DEFAULT_TV_EDGES, BIN_VALUES,
@@ -45,6 +45,15 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type for tolerances: a finite float above zero."""
+    try:
+        return positive_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}") from None
 
 
 def _cmd_rasterize(args) -> int:
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--rtol", type=float, default=1e-4, help="relative tolerance")
+    p.add_argument("--rtol", type=_positive_finite, default=1e-4, help="relative tolerance")
     p.add_argument("--seeds", type=_positive_int, default=20, help="number of seeds")
     p.set_defaults(func=_cmd_gradcheck)
     return parser

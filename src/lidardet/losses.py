@@ -10,14 +10,20 @@ terms can be attenuated per component by a predicted log-variance ``s``:
 where ``L`` is the raw residual loss. Setting ``attenuate=False`` drops
 the ``+ s`` term and fixes ``s = 0``, which reproduces the plain baseline
 objective exactly.
+
+The per-stage head tables live here because they carry each head's loss
+kind: ``multi_loss`` walks them, reading labels and targets from the batch
+and naming the ``LossBreakdown`` terms by the same ``<prefix>_<head>`` rule,
+and the model builds its heads from the same tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM
 from .errors import ShapeError
 
 LIKELIHOOD_FORMS = ("gaussian", "laplace")
@@ -92,36 +98,19 @@ def attenuated_term(residual_loss, s, form: str = "gaussian"):
     return value, d_res, d_s
 
 
-@dataclass
-class HeadOutputs:
-    """Raw network outputs for one step: both stages, all heads."""
-
-    rpn_logits: np.ndarray       # (N, 2)
-    rpn_reg: np.ndarray          # (N, D1)
-    rpn_log_var: np.ndarray      # (N, D1)
-    frh_logits: np.ndarray       # (M, 2)
-    frh_loc: np.ndarray          # (M, D2)
-    frh_loc_log_var: np.ndarray  # (M, D2)
-    frh_orient: np.ndarray       # (M, D3)
-    frh_orient_log_var: np.ndarray  # (M, D3)
-
-    def zeros_like(self) -> "HeadOutputs":
-        return HeadOutputs(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
-
-
-@dataclass
-class HeadTargets:
-    """Targets and assignment labels matching a ``HeadOutputs`` batch.
-
-    Class labels are 1 for object, 0 for background and -1 for ignored
-    samples; regression rows are only consumed where the label is 1.
-    """
-
-    rpn_reg: np.ndarray     # (N, D1)
-    rpn_cls: np.ndarray     # (N,)
-    frh_loc: np.ndarray     # (M, D2)
-    frh_orient: np.ndarray  # (M, D3)
-    frh_cls: np.ndarray     # (M,)
+# Head tables: (name, width, loss kind), in blob and backward order. A stage
+# is a trunk (w1, b1: one ReLU hidden layer) feeding these linear heads.
+#   "cls": cross-entropy over the rows labelled >= 0;
+#   "reg": attenuated smooth-L1 over the positive rows (label 1), with the
+#          next head as its log-variance;
+#   "lv":  that log-variance head, the only kind the forward pass clips.
+STAGE1_HEADS = (("cls", 2, "cls"), ("reg", RPN_DIM, "reg"), ("lv", RPN_DIM, "lv"))
+STAGE2_HEADS = (("cls", 2, "cls"), ("loc", FRH_LOC_DIM, "reg"),
+                ("loc_lv", FRH_LOC_DIM, "lv"), ("orient", FRH_ORIENT_DIM, "reg"),
+                ("orient_lv", FRH_ORIENT_DIM, "lv"))
+# Each stage's labels, targets and loss terms are named <prefix>_cls and
+# <prefix>_<head>, in the batch and in LossBreakdown alike.
+LOSS_STAGES = (("rpn", STAGE1_HEADS), ("frh", STAGE2_HEADS))
 
 
 @dataclass
@@ -137,78 +126,62 @@ class LossBreakdown:
         return self.rpn_reg + self.rpn_cls + self.frh_loc + self.frh_cls + self.frh_orient
 
 
-def _check(outputs: HeadOutputs, targets: HeadTargets) -> None:
-    n = len(outputs.rpn_logits)
-    m = len(outputs.frh_logits)
-    pairs = [
-        (outputs.rpn_logits, (n, 2)), (outputs.rpn_reg, outputs.rpn_log_var.shape),
-        (targets.rpn_reg, outputs.rpn_reg.shape), (targets.rpn_cls, (n,)),
-        (outputs.frh_logits, (m, 2)), (outputs.frh_loc, outputs.frh_loc_log_var.shape),
-        (outputs.frh_orient, outputs.frh_orient_log_var.shape),
-        (targets.frh_loc, outputs.frh_loc.shape), (targets.frh_orient, outputs.frh_orient.shape),
-        (targets.frh_cls, (m,)),
-    ]
-    for arr, want in pairs:
-        if tuple(np.shape(arr)) != tuple(want):
-            raise ShapeError(f"array shape {np.shape(arr)} does not match expected {want}")
-    if len(outputs.rpn_reg) != n or len(outputs.frh_loc) != m or len(outputs.frh_orient) != m:
-        raise ShapeError("per-stage batch sizes are inconsistent")
-
-
-def _regression_term(pred, target, log_var, positive, form, attenuate):
-    """Mean over positive rows of the summed per-component terms."""
-    d_pred = np.zeros_like(pred)
-    d_lv = np.zeros_like(log_var)
+def _stage_terms(prefix, heads, outputs, batch, form, attenuate, terms) -> list:
+    """Adds the stage's terms to ``terms``; returns its per-head gradients."""
+    labels = getattr(batch, f"{prefix}_cls")
+    n = len(labels)
+    if np.ndim(labels) != 1 or len(outputs) != len(heads):
+        raise ShapeError(f"{prefix}: {len(outputs)} outputs for {len(heads)} heads, "
+                         f"labels of shape {np.shape(labels)}")
+    for (head, width, kind), out in zip(heads, outputs):
+        arrays = (out, getattr(batch, f"{prefix}_{head}")) if kind == "reg" else (out,)
+        for arr in arrays:
+            if np.shape(arr) != (n, width):
+                raise ShapeError(f"{prefix}_{head}: array shape {np.shape(arr)} "
+                                 f"does not match expected {(n, width)}")
+    grads = [np.zeros_like(out) for out in outputs]
+    positive = labels == 1
     n_pos = int(positive.sum())
-    if n_pos == 0:
-        return 0.0, d_pred, d_lv
-    L, dL = smooth_l1(pred[positive] - target[positive])
-    s = log_var[positive] if attenuate else np.zeros_like(L)
-    value, d_res, d_s = attenuated_term(L, s, form)
-    d_pred[positive] = d_res * dL / n_pos
-    if attenuate:
-        d_lv[positive] = d_s / n_pos
-    return float(value.sum()) / n_pos, d_pred, d_lv
+    for i, (head, _, kind) in enumerate(heads):
+        if kind == "lv":
+            continue
+        value = 0.0
+        if kind == "cls":
+            valid = labels >= 0
+            n_valid = int(valid.sum())
+            if n_valid:
+                ce, grad = cross_entropy(outputs[i][valid], labels[valid])
+                grads[i][valid] = grad / n_valid
+                value = float(ce.sum()) / n_valid
+        elif n_pos:
+            target = getattr(batch, f"{prefix}_{head}")
+            L, dL = smooth_l1(outputs[i][positive] - target[positive])
+            s = outputs[i + 1][positive] if attenuate else np.zeros_like(L)
+            v, d_res, d_s = attenuated_term(L, s, form)
+            grads[i][positive] = d_res * dL / n_pos
+            if attenuate:
+                grads[i + 1][positive] = d_s / n_pos
+            value = float(v.sum()) / n_pos
+        terms[f"{prefix}_{head}"] = value
+    return grads
 
 
-def _classification_term(logits, labels):
-    """Mean cross-entropy over the non-ignored rows."""
-    d = np.zeros_like(logits)
-    valid = labels >= 0
-    n = int(valid.sum())
-    if n == 0:
-        return 0.0, d
-    ce, grad = cross_entropy(logits[valid], labels[valid])
-    d[valid] = grad / n
-    return float(ce.sum()) / n, d
+def multi_loss(stage1_outputs, stage2_outputs, batch, form: str = "gaussian",
+               attenuate: bool = True):
+    """The multi-task objective over both stages' head tables, with
+    analytic gradients for every head output.
 
-
-def multi_loss(outputs: HeadOutputs, targets: HeadTargets,
-               form: str = "gaussian", attenuate: bool = True):
-    """Five-part objective with analytic gradients for every output array.
-
-    Regression terms (stage-1 offsets, stage-2 location and orientation)
-    are attenuated per component by the matching log-variance outputs and
-    averaged over positive samples; both classification terms are plain
-    mean cross-entropy over non-ignored samples. Returns a
-    ``LossBreakdown`` and a ``HeadOutputs`` of gradients. The value is
-    invariant to sample order, and with no positive (or no valid) samples
-    the affected terms are zero.
+    ``stage*_outputs`` are the head arrays in table order; ``batch`` is a
+    ``StepBatch`` (or any object with its label and target fields). Every
+    ``reg`` head is attenuated per component by its ``lv`` twin and averaged
+    over positive rows; every ``cls`` head is mean cross-entropy over
+    non-ignored rows. Returns ``(LossBreakdown, stage-1 gradients, stage-2
+    gradients)``, the gradient lists in table order. The value is invariant
+    to row order, and with no positive (or no valid) rows the affected terms
+    and gradients are zero.
     """
-    _check(outputs, targets)
-    grads = outputs.zeros_like()
-
-    rpn_pos = targets.rpn_cls == 1
-    frh_pos = targets.frh_cls == 1
-
-    rpn_reg, grads.rpn_reg, grads.rpn_log_var = _regression_term(
-        outputs.rpn_reg, targets.rpn_reg, outputs.rpn_log_var, rpn_pos, form, attenuate)
-    rpn_cls, grads.rpn_logits = _classification_term(outputs.rpn_logits, targets.rpn_cls)
-    frh_loc, grads.frh_loc, grads.frh_loc_log_var = _regression_term(
-        outputs.frh_loc, targets.frh_loc, outputs.frh_loc_log_var, frh_pos, form, attenuate)
-    frh_cls, grads.frh_logits = _classification_term(outputs.frh_logits, targets.frh_cls)
-    frh_orient, grads.frh_orient, grads.frh_orient_log_var = _regression_term(
-        outputs.frh_orient, targets.frh_orient, outputs.frh_orient_log_var, frh_pos,
-        form, attenuate)
-
-    return LossBreakdown(rpn_reg, rpn_cls, frh_loc, frh_cls, frh_orient), grads
+    terms = {}
+    grads = [_stage_terms(prefix, heads, outputs, batch, form, attenuate, terms)
+             for (prefix, heads), outputs in zip(LOSS_STAGES,
+                                                 (stage1_outputs, stage2_outputs))]
+    return LossBreakdown(**terms), *grads

@@ -4,13 +4,16 @@ Stage 1 scores and refines yaw-free anchors; stage 2 refines kept
 proposals with the four-corner location code and the (cos, sin)
 orientation code, each regression head paired with a log-variance head.
 Both stages are the same trunk-plus-heads MLP: one ReLU hidden layer
-feeding the linear heads of the stage's head table, run by one generic
-forward and one hand-derived backward, so the whole objective is
-finite-difference checkable. Every trainable array is a named view into
-one flat float64 buffer (weight matrices first); gradients share its
-layout, and Adam updates it with a few in-place vector ops. Training runs
-the two-phase schedule: a plain phase with log-variance heads silent,
-then the attenuated multi-loss.
+feeding the linear heads of the stage's head table (``losses.STAGE*_HEADS``,
+which also gives each head its loss kind), run by one generic forward and
+one hand-derived backward, so the whole objective is finite-difference
+checkable. A training step hands the head outputs to ``multi_loss`` and its
+per-head gradients straight back to the backward pass, both in table
+order. Every trainable array is a named view into one flat float64 buffer
+(weight matrices first); gradients share its layout, and Adam updates it
+with a few in-place vector ops. Training runs the two-phase schedule: a
+plain phase with log-variance heads silent, then the attenuated
+multi-loss.
 
 Candidate featurization pools the grid cells under a candidate's
 axis-aligned footprint into a fixed pool_blocks x pool_blocks layout of
@@ -36,7 +39,7 @@ from .boxgeom import (Box3D, ScoredBox, aa_envelope, aa_extents, box_extents, io
 from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, assign,
                     decode_frh, decode_rpn, encode_frh, encode_rpn)
 from .errors import DivergenceError, FormatError, OutOfGrid, ShapeError, require_finite
-from .losses import (LIKELIHOOD_FORMS, HeadOutputs, HeadTargets, LossBreakdown,
+from .losses import (LIKELIHOOD_FORMS, STAGE1_HEADS, STAGE2_HEADS, LossBreakdown,
                      attenuated_term, cross_entropy, multi_loss, smooth_l1)
 from .pcio import finite_float, positive_float, read_table, write_table
 
@@ -248,19 +251,9 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
 # ---------------------------------------------------------------------------
 # parameters
 
-# Head tables: (name, width, log-variance clip applies). A stage is a trunk
-# (w1, b1: one ReLU hidden layer) feeding these linear heads.
-STAGE1_HEADS = (("cls", 2, False), ("reg", RPN_DIM, False), ("lv", RPN_DIM, True))
-STAGE2_HEADS = (("cls", 2, False), ("loc", FRH_LOC_DIM, False),
-                ("loc_lv", FRH_LOC_DIM, True), ("orient", FRH_ORIENT_DIM, False),
-                ("orient_lv", FRH_ORIENT_DIM, True))
+# A stage is a trunk (w1, b1: one ReLU hidden layer) feeding the linear heads
+# of its losses.STAGE*_HEADS table: (name, width, loss kind).
 STAGES = (("stage1", STAGE1_HEADS), ("stage2", STAGE2_HEADS))
-# The losses.HeadOutputs field of each head, in table order: rpn_<head> for
-# stage 1 and frh_<head> for stage 2, with cls read as logits, lv as log_var.
-STAGE1_OUTPUTS, STAGE2_OUTPUTS = (
-    tuple(f"{prefix}_{head.replace('cls', 'logits').replace('lv', 'log_var')}"
-          for head, _, _ in heads) for prefix, heads in (("rpn", STAGE1_HEADS),
-                                                         ("frh", STAGE2_HEADS)))
 
 
 def _trainable_shapes(feat_len: int, hidden1: int, hidden2: int) -> list:
@@ -340,7 +333,7 @@ def init_params(cfg: "TrainConfig", feat_len: int, layout: AnchorLayout) -> Mode
                          np.array(layout.shapes, dtype=np.float64), meta)
     for stage in (params.stage1, params.stage2):
         for w in [stage.w1] + [getattr(stage, f"w_{head}")
-                               for head, _, lv in stage.heads if not lv]:
+                               for head, _, kind in stage.heads if kind != "lv"]:
             w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
     return params
 
@@ -453,9 +446,9 @@ def _forward(p: Stage, x: np.ndarray, mask: Optional[np.ndarray], what: str):
     if mask is not None:
         hid = hid * mask
     outs, interiors = [], []
-    for head, _, lv in p.heads:
+    for head, _, kind in p.heads:
         out = hid @ getattr(p, f"w_{head}") + getattr(p, f"b_{head}")
-        out, interior = _clip_lv(out) if lv else (out, None)
+        out, interior = _clip_lv(out) if kind == "lv" else (out, None)
         outs.append(out)
         interiors.append(interior)
     return (*outs, (x, pre, hid, mask, interiors))
@@ -636,15 +629,9 @@ def run_batch(params: ModelParams, grads: ModelParams, batch: StepBatch,
                              (len(batch.x2), cfg.hidden2), cfg.dropout_rate)
     *heads1, cache1 = stage1_forward(params.stage1, batch.x1, mask1)
     *heads2, cache2 = stage2_forward(params.stage2, batch.x2, mask2)
-    outputs = HeadOutputs(**dict(zip(STAGE1_OUTPUTS + STAGE2_OUTPUTS, heads1 + heads2)))
-    targets = HeadTargets(rpn_reg=batch.rpn_reg, rpn_cls=batch.rpn_cls,
-                          frh_loc=batch.frh_loc, frh_orient=batch.frh_orient,
-                          frh_cls=batch.frh_cls)
-    breakdown, g = multi_loss(outputs, targets, form=cfg.form, attenuate=attenuate)
-    stage1_backward(params.stage1, cache1, grads.stage1,
-                    *[getattr(g, name) for name in STAGE1_OUTPUTS])
-    stage2_backward(params.stage2, cache2, grads.stage2,
-                    *[getattr(g, name) for name in STAGE2_OUTPUTS])
+    breakdown, d1, d2 = multi_loss(heads1, heads2, batch, cfg.form, attenuate)
+    stage1_backward(params.stage1, cache1, grads.stage1, *d1)
+    stage2_backward(params.stage2, cache2, grads.stage2, *d2)
     return breakdown
 
 
@@ -845,9 +832,8 @@ def train(training_set: TrainingSet, cfg: TrainConfig, layout: AnchorLayout):
         if not math.isfinite(breakdown.total):
             raise DivergenceError(f"non-finite loss at step {step}")
         adam_step(params, grads, state, cfg, step)
-        log.append(LogRow(step, lr_schedule(cfg, step), breakdown.rpn_reg,
-                          breakdown.rpn_cls, breakdown.frh_loc, breakdown.frh_cls,
-                          breakdown.frh_orient, breakdown.total))
+        log.append(LogRow(step, lr_schedule(cfg, step), *astuple(breakdown),
+                          breakdown.total))
     return params, log
 
 
@@ -1038,39 +1024,6 @@ def _check_losses(seed: int, rtol: float) -> list:
     return bad
 
 
-def _random_outputs_targets(rng, n=7, m=6):
-    def labels(k):
-        lab = rng.integers(-1, 2, size=k)
-        lab[0] = 1
-        return lab
-    outputs = HeadOutputs(
-        rpn_logits=rng.normal(0, 1.5, (n, 2)), rpn_reg=rng.normal(0, 1.2, (n, RPN_DIM)),
-        rpn_log_var=rng.normal(0, 0.8, (n, RPN_DIM)),
-        frh_logits=rng.normal(0, 1.5, (m, 2)),
-        frh_loc=rng.normal(0, 1.2, (m, FRH_LOC_DIM)),
-        frh_loc_log_var=rng.normal(0, 0.8, (m, FRH_LOC_DIM)),
-        frh_orient=rng.normal(0, 1.2, (m, FRH_ORIENT_DIM)),
-        frh_orient_log_var=rng.normal(0, 0.8, (m, FRH_ORIENT_DIM)))
-    targets = HeadTargets(
-        rpn_reg=rng.normal(0, 1.0, (n, RPN_DIM)) + 0.001, rpn_cls=labels(n),
-        frh_loc=rng.normal(0, 1.0, (m, FRH_LOC_DIM)) + 0.001,
-        frh_orient=rng.normal(0, 1.0, (m, FRH_ORIENT_DIM)) + 0.001,
-        frh_cls=labels(m))
-    return outputs, targets
-
-
-def _check_multi_loss(seed: int, rtol: float) -> list:
-    rng = np.random.default_rng([seed, 11])
-    form = LIKELIHOOD_FORMS[seed % 2]
-    outputs, targets = _random_outputs_targets(rng)
-    _, grads = multi_loss(outputs, targets, form=form)
-    return _check_arrays(
-        [(f.name, getattr(outputs, f.name), getattr(grads, f.name))
-         for f in fields(HeadOutputs)],
-        lambda: multi_loss(outputs, targets, form=form)[0].total, rtol,
-        f"multi_loss gradient {{}} ({form})")
-
-
 def _gradcheck_cfg(seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, hidden1=8, hidden2=9, dropout_rate=0.5,
                        pool_blocks=1)
@@ -1087,6 +1040,22 @@ def _random_step_batch(rng, feat_len: int, n=6, m=5) -> StepBatch:
         x2=rng.normal(0, 1.0, (m, feat_len)), frh_cls=labels(m),
         frh_loc=rng.normal(0, 0.8, (m, FRH_LOC_DIM)) + 0.001,
         frh_orient=rng.normal(0, 0.8, (m, FRH_ORIENT_DIM)) + 0.001)
+
+
+def _check_multi_loss(seed: int, rtol: float) -> list:
+    rng = np.random.default_rng([seed, 11])
+    form = LIKELIHOOD_FORMS[seed % 2]
+    n, m = 7, 6
+    batch = _random_step_batch(rng, 1, n, m)
+    outputs = [[rng.normal(0, 0.8 if kind == "lv" else 1.2, (rows, width))
+                for _, width, kind in heads] for rows, (_, heads) in zip((n, m), STAGES)]
+    _, *grads = multi_loss(*outputs, batch, form)
+    return _check_arrays(
+        [(f"{stage}.{head}", out, g)
+         for (stage, heads), outs, gs in zip(STAGES, outputs, grads)
+         for (head, _, _), out, g in zip(heads, outs, gs)],
+        lambda: multi_loss(*outputs, batch, form)[0].total, rtol,
+        f"multi_loss gradient {{}} ({form})")
 
 
 def _check_end_to_end(seed: int, rtol: float, train_mode: bool) -> list:

@@ -1,6 +1,7 @@
 """BEV rasterization against a brute-force per-point oracle."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +144,36 @@ class TestGridFile:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(FormatError):
             read_grid(path)
+
+    @staticmethod
+    def _small_blob(tmp_path):
+        tiny = RangeSpec(0.0, 1.0, -0.5, 0.5, 0.0, 1.0, 0.5, 2, 0.5)
+        path = tmp_path / "g.bin"
+        write_grid(rasterize(_cloud(np.random.default_rng(4), 20, tiny), tiny), path)
+        return path.read_bytes()
+
+    # the small blob is 32 header bytes, then 2 x 2 cells x 3 float32 channels
+    @pytest.mark.parametrize("mutate,words", [
+        (lambda b: b[:4] + struct.pack("<I", 99) + b[8:], "version 99"),
+        (lambda b: b[:16] + struct.pack("<I", 1) + b[20:48], "1 channels"),
+        (lambda b: b[:16] + struct.pack("<I", 0) + b[20:32], "0 channels"),
+        (lambda b: b[:36] + struct.pack("<f", math.nan) + b[40:], "non-finite"),
+        (lambda b: b[:-4] + struct.pack("<f", -math.inf), "non-finite"),
+    ], ids=["version", "one-channel", "no-channel", "nan-height", "inf-density"])
+    def test_read_rejects_bad_header_or_body(self, tmp_path, mutate, words):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(mutate(self._small_blob(tmp_path)))
+        with pytest.raises(FormatError, match=words):
+            read_grid(path)
+
+    def test_truncated_grid_is_format_error_at_every_length(self, tmp_path):
+        blob = self._small_blob(tmp_path)
+        read_grid(tmp_path / "g.bin")
+        path = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                read_grid(path)
 
     def test_spec_validation(self):
         with pytest.raises(SpecError):

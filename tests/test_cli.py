@@ -155,6 +155,11 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rtol", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_rtol_is_usage_error(self, rtol, capsys):
+        assert run(["gradcheck", "--rtol", rtol]) == 2
+        assert "expected a finite positive number" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "lidardet" in capsys.readouterr().out

@@ -1,14 +1,17 @@
 """Base losses, attenuated regression terms, and the multi-task objective."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lidardet.codec import FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM
 from lidardet.errors import ShapeError
-from lidardet.losses import (HeadOutputs, HeadTargets, LIKELIHOOD_FORMS,
-                             attenuated_term, cross_entropy, multi_loss,
-                             smooth_l1)
+from lidardet.losses import (LIKELIHOOD_FORMS, STAGE1_HEADS, STAGE2_HEADS,
+                             LossBreakdown, attenuated_term, cross_entropy,
+                             multi_loss, smooth_l1)
+from lidardet.model import StepBatch
 
 
 class TestSmoothL1:
@@ -137,34 +140,93 @@ class TestAttenuatedTerm:
             attenuated_term(1.0, 0.0, "student-t")
 
 
-def _random_batch(rng, n=7, m=5, d1=6, d2=10, d3=2):
-    outputs = HeadOutputs(
-        rpn_logits=rng.normal(size=(n, 2)),
-        rpn_reg=rng.normal(size=(n, d1)),
-        rpn_log_var=rng.normal(scale=0.5, size=(n, d1)),
-        frh_logits=rng.normal(size=(m, 2)),
-        frh_loc=rng.normal(size=(m, d2)),
-        frh_loc_log_var=rng.normal(scale=0.5, size=(m, d2)),
-        frh_orient=rng.normal(size=(m, d3)),
-        frh_orient_log_var=rng.normal(scale=0.5, size=(m, d3)))
+def _random_batch(rng, n=7, m=5):
+    """Head outputs of both stages, in table order, and a StepBatch for them."""
+    def heads(rows, table):
+        return [rng.normal(scale=0.5 if kind == "lv" else 1.0, size=(rows, width))
+                for _, width, kind in table]
+
     rpn_cls = rng.integers(-1, 2, n)
     frh_cls = rng.integers(-1, 2, m)
     rpn_cls[0] = 1
     frh_cls[0] = 1
-    targets = HeadTargets(
-        rpn_reg=rng.normal(size=(n, d1)),
-        rpn_cls=rpn_cls,
-        frh_loc=rng.normal(size=(m, d2)),
-        frh_orient=rng.normal(size=(m, d3)),
-        frh_cls=frh_cls)
-    return outputs, targets
+    batch = StepBatch(
+        x1=np.zeros((n, 1)), rpn_cls=rpn_cls, rpn_reg=rng.normal(size=(n, RPN_DIM)),
+        x2=np.zeros((m, 1)), frh_cls=frh_cls, frh_loc=rng.normal(size=(m, FRH_LOC_DIM)),
+        frh_orient=rng.normal(size=(m, FRH_ORIENT_DIM)))
+    return heads(n, STAGE1_HEADS), heads(m, STAGE2_HEADS), batch
+
+
+# The five-term composition that preceded the head-table loop, kept as a
+# bitwise reference for it.
+def _reference_regression(pred, target, log_var, positive, form, attenuate):
+    d_pred = np.zeros_like(pred)
+    d_lv = np.zeros_like(log_var)
+    n_pos = int(positive.sum())
+    if n_pos == 0:
+        return 0.0, d_pred, d_lv
+    L, dL = smooth_l1(pred[positive] - target[positive])
+    s = log_var[positive] if attenuate else np.zeros_like(L)
+    value, d_res, d_s = attenuated_term(L, s, form)
+    d_pred[positive] = d_res * dL / n_pos
+    if attenuate:
+        d_lv[positive] = d_s / n_pos
+    return float(value.sum()) / n_pos, d_pred, d_lv
+
+
+def _reference_classification(logits, labels):
+    d = np.zeros_like(logits)
+    valid = labels >= 0
+    n = int(valid.sum())
+    if n == 0:
+        return 0.0, d
+    ce, grad = cross_entropy(logits[valid], labels[valid])
+    d[valid] = grad / n
+    return float(ce.sum()) / n, d
+
+
+def _reference_multi_loss(out1, out2, batch, form, attenuate):
+    rpn_logits, rpn_reg, rpn_lv = out1
+    frh_logits, frh_loc, frh_loc_lv, frh_orient, frh_orient_lv = out2
+    rpn_pos = batch.rpn_cls == 1
+    frh_pos = batch.frh_cls == 1
+    t_rpn_reg, g_reg, g_lv = _reference_regression(
+        rpn_reg, batch.rpn_reg, rpn_lv, rpn_pos, form, attenuate)
+    t_rpn_cls, g_rpn_logits = _reference_classification(rpn_logits, batch.rpn_cls)
+    t_frh_loc, g_loc, g_loc_lv = _reference_regression(
+        frh_loc, batch.frh_loc, frh_loc_lv, frh_pos, form, attenuate)
+    t_frh_cls, g_frh_logits = _reference_classification(frh_logits, batch.frh_cls)
+    t_frh_orient, g_or, g_or_lv = _reference_regression(
+        frh_orient, batch.frh_orient, frh_orient_lv, frh_pos, form, attenuate)
+    return (LossBreakdown(t_rpn_reg, t_rpn_cls, t_frh_loc, t_frh_cls, t_frh_orient),
+            [g_rpn_logits, g_reg, g_lv], [g_frh_logits, g_loc, g_loc_lv, g_or, g_or_lv])
 
 
 class TestMultiLoss:
+    @pytest.mark.parametrize("form", LIKELIHOOD_FORMS)
+    @pytest.mark.parametrize("attenuate", [True, False])
+    @pytest.mark.parametrize("labels", ["mixed", "no positives", "no valid rows"])
+    def test_equals_five_term_reference_bitwise(self, form, attenuate, labels):
+        for seed in range(20):
+            rng = np.random.default_rng([18, seed])
+            out1, out2, batch = _random_batch(rng)
+            if labels == "no positives":
+                batch.rpn_cls[batch.rpn_cls == 1] = 0
+                batch.frh_cls[:] = rng.integers(-1, 1, len(batch.frh_cls))
+            elif labels == "no valid rows":
+                batch.rpn_cls[:] = -1
+                batch.frh_cls[:] = -1
+            breakdown, g1, g2 = multi_loss(out1, out2, batch, form, attenuate)
+            ref, r1, r2 = _reference_multi_loss(out1, out2, batch, form, attenuate)
+            assert breakdown == ref and breakdown.total == ref.total
+            assert len(g1) == len(r1) and len(g2) == len(r2)
+            for g, r in zip(g1 + g2, r1 + r2):
+                assert np.array_equal(g, r)
+
     def test_breakdown_matches_hand_composition(self):
         rng = np.random.default_rng(10)
-        outputs, targets = _random_batch(rng)
-        breakdown, _ = multi_loss(outputs, targets, form="laplace")
+        out1, out2, batch = _random_batch(rng)
+        breakdown, _, _ = multi_loss(out1, out2, batch, form="laplace")
 
         def reg_term(pred, target, lv, pos):
             r = pred[pos] - target[pos]
@@ -172,17 +234,16 @@ class TestMultiLoss:
             s = lv[pos]
             return float((np.exp(-s) * L + s).sum()) / int(pos.sum())
 
-        rpn_pos = targets.rpn_cls == 1
-        frh_pos = targets.frh_cls == 1
+        rpn_pos = batch.rpn_cls == 1
+        frh_pos = batch.frh_cls == 1
         assert breakdown.rpn_reg == pytest.approx(
-            reg_term(outputs.rpn_reg, targets.rpn_reg, outputs.rpn_log_var, rpn_pos))
+            reg_term(out1[1], batch.rpn_reg, out1[2], rpn_pos))
         assert breakdown.frh_loc == pytest.approx(
-            reg_term(outputs.frh_loc, targets.frh_loc, outputs.frh_loc_log_var, frh_pos))
+            reg_term(out2[1], batch.frh_loc, out2[2], frh_pos))
         assert breakdown.frh_orient == pytest.approx(
-            reg_term(outputs.frh_orient, targets.frh_orient,
-                     outputs.frh_orient_log_var, frh_pos))
-        valid = targets.rpn_cls >= 0
-        ce, _ = cross_entropy(outputs.rpn_logits[valid], targets.rpn_cls[valid])
+            reg_term(out2[3], batch.frh_orient, out2[4], frh_pos))
+        valid = batch.rpn_cls >= 0
+        ce, _ = cross_entropy(out1[0][valid], batch.rpn_cls[valid])
         assert breakdown.rpn_cls == pytest.approx(float(ce.mean()))
         assert breakdown.total == pytest.approx(
             breakdown.rpn_reg + breakdown.rpn_cls + breakdown.frh_loc
@@ -190,90 +251,76 @@ class TestMultiLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        outputs, targets = _random_batch(rng)
+        out1, out2, batch = _random_batch(rng)
         h = 1e-6
         for form in LIKELIHOOD_FORMS:
-            _, grads = multi_loss(outputs, targets, form=form)
-            for field in ("rpn_logits", "rpn_reg", "rpn_log_var", "frh_logits",
-                          "frh_loc", "frh_loc_log_var", "frh_orient",
-                          "frh_orient_log_var"):
-                arr = getattr(outputs, field)
-                g = getattr(grads, field)
+            _, g1, g2 = multi_loss(out1, out2, batch, form=form)
+            for k, (arr, g) in enumerate(zip(out1 + out2, g1 + g2)):
                 for idx in [(0, 0), (0, arr.shape[1] - 1)]:
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up, _ = multi_loss(outputs, targets, form=form)
+                    up, _, _ = multi_loss(out1, out2, batch, form=form)
                     arr[idx] = orig - h
-                    dn, _ = multi_loss(outputs, targets, form=form)
+                    dn, _, _ = multi_loss(out1, out2, batch, form=form)
                     arr[idx] = orig
                     fd = (up.total - dn.total) / (2 * h)
-                    assert g[idx] == pytest.approx(fd, abs=2e-5), (form, field, idx)
+                    assert g[idx] == pytest.approx(fd, abs=2e-5), (form, k, idx)
 
     def test_baseline_ignores_log_variance(self):
         rng = np.random.default_rng(12)
-        outputs, targets = _random_batch(rng)
-        base, grads = multi_loss(outputs, targets, attenuate=False)
-        assert np.all(grads.rpn_log_var == 0.0)
-        assert np.all(grads.frh_loc_log_var == 0.0)
-        assert np.all(grads.frh_orient_log_var == 0.0)
-        shifted = HeadOutputs(**{f: getattr(outputs, f).copy()
-                                 for f in ("rpn_logits", "rpn_reg", "rpn_log_var",
-                                           "frh_logits", "frh_loc", "frh_loc_log_var",
-                                           "frh_orient", "frh_orient_log_var")})
-        shifted.rpn_log_var += 5.0
-        again, _ = multi_loss(shifted, targets, attenuate=False)
+        out1, out2, batch = _random_batch(rng)
+        base, g1, g2 = multi_loss(out1, out2, batch, attenuate=False)
+        lv_grads = [g for (_, _, kind), g in zip(STAGE1_HEADS + STAGE2_HEADS, g1 + g2)
+                    if kind == "lv"]
+        assert len(lv_grads) == 3 and all(np.all(g == 0.0) for g in lv_grads)
+        shifted = [a.copy() for a in out1]
+        shifted[2] += 5.0
+        again, _, _ = multi_loss(shifted, out2, batch, attenuate=False)
         assert again.total == pytest.approx(base.total)
 
     def test_baseline_equals_attenuated_at_zero_log_variance(self):
         rng = np.random.default_rng(13)
-        outputs, targets = _random_batch(rng)
-        outputs.rpn_log_var[:] = 0.0
-        outputs.frh_loc_log_var[:] = 0.0
-        outputs.frh_orient_log_var[:] = 0.0
-        att, _ = multi_loss(outputs, targets, attenuate=True)
-        base, _ = multi_loss(outputs, targets, attenuate=False)
+        out1, out2, batch = _random_batch(rng)
+        for arr in (out1[2], out2[2], out2[4]):
+            arr[:] = 0.0
+        att, _, _ = multi_loss(out1, out2, batch, attenuate=True)
+        base, _, _ = multi_loss(out1, out2, batch, attenuate=False)
         # the + s regularizer vanishes at s = 0, leaving identical weighting
         assert att.total == pytest.approx(base.total, abs=1e-12)
 
     def test_ignored_rows_do_not_contribute(self):
         rng = np.random.default_rng(14)
-        outputs, targets = _random_batch(rng)
-        value, _ = multi_loss(outputs, targets)
-        ig = np.flatnonzero(targets.rpn_cls == -1)
+        out1, out2, batch = _random_batch(rng)
+        value, _, _ = multi_loss(out1, out2, batch)
+        ig = np.flatnonzero(batch.rpn_cls == -1)
         if len(ig):
-            outputs.rpn_logits[ig] += 100.0
-            outputs.rpn_reg[ig] += 100.0
-            again, _ = multi_loss(outputs, targets)
+            out1[0][ig] += 100.0
+            out1[1][ig] += 100.0
+            again, _, _ = multi_loss(out1, out2, batch)
             assert again.total == pytest.approx(value.total)
 
     def test_no_positives_zero_regression(self):
         rng = np.random.default_rng(15)
-        outputs, targets = _random_batch(rng)
-        targets.rpn_cls[:] = 0
-        breakdown, grads = multi_loss(outputs, targets)
+        out1, out2, batch = _random_batch(rng)
+        batch.rpn_cls[:] = 0
+        breakdown, g1, _ = multi_loss(out1, out2, batch)
         assert breakdown.rpn_reg == 0.0
-        assert np.all(grads.rpn_reg == 0.0)
+        assert np.all(g1[1] == 0.0)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(16)
-        outputs, targets = _random_batch(rng)
-        value, _ = multi_loss(outputs, targets)
-        perm = rng.permutation(len(outputs.rpn_logits))
-        shuffled = HeadOutputs(
-            rpn_logits=outputs.rpn_logits[perm], rpn_reg=outputs.rpn_reg[perm],
-            rpn_log_var=outputs.rpn_log_var[perm], frh_logits=outputs.frh_logits,
-            frh_loc=outputs.frh_loc, frh_loc_log_var=outputs.frh_loc_log_var,
-            frh_orient=outputs.frh_orient,
-            frh_orient_log_var=outputs.frh_orient_log_var)
-        tshuf = HeadTargets(rpn_reg=targets.rpn_reg[perm], rpn_cls=targets.rpn_cls[perm],
-                            frh_loc=targets.frh_loc, frh_orient=targets.frh_orient,
-                            frh_cls=targets.frh_cls)
-        again, _ = multi_loss(shuffled, tshuf)
+        out1, out2, batch = _random_batch(rng)
+        value, _, _ = multi_loss(out1, out2, batch)
+        perm = rng.permutation(len(batch.rpn_cls))
+        shuffled = replace(batch, x1=batch.x1[perm], rpn_cls=batch.rpn_cls[perm],
+                           rpn_reg=batch.rpn_reg[perm])
+        again, _, _ = multi_loss([a[perm] for a in out1], out2, shuffled)
         assert again.total == pytest.approx(value.total)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(17)
-        outputs, targets = _random_batch(rng)
-        targets.rpn_reg = targets.rpn_reg[:, :4]
+        out1, out2, batch = _random_batch(rng)
         with pytest.raises(ShapeError):
-            multi_loss(outputs, targets)
+            multi_loss(out1, out2, replace(batch, rpn_reg=batch.rpn_reg[:, :4]))
+        with pytest.raises(ShapeError):
+            multi_loss(out1, out2[:-1], batch)

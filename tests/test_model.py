@@ -14,9 +14,9 @@ from lidardet.bevraster import BevGrid, RangeSpec, rasterize
 from lidardet.boxgeom import Box3D, aa_envelope
 from lidardet.codec import assign, encode_rpn
 from lidardet.errors import FormatError, OutOfGrid, ShapeError
-from lidardet.losses import HeadOutputs
-from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE1_OUTPUTS, STAGE2_HEADS,
-                            STAGE2_OUTPUTS, AnchorLayout, Detection, InferConfig,
+from lidardet.losses import LOSS_STAGES, LossBreakdown
+from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE2_HEADS,
+                            AnchorLayout, Detection, InferConfig,
                             ModelParams, StepBatch, TrainConfig,
                             adam_step, anchor_features, apply_label_noise,
                             build_anchor_set, build_training_set, cell_range,
@@ -294,9 +294,21 @@ class TestForwardBackward:
                 assert getattr(stage, f"w_{head}").shape == (stage.w1.shape[1], width)
                 assert getattr(stage, f"b_{head}").shape == (width,)
 
-    def test_head_tables_name_every_head_output(self):
-        assert sorted(STAGE1_OUTPUTS + STAGE2_OUTPUTS) == sorted(
-            f.name for f in fields(HeadOutputs))
+    def test_head_tables_pair_each_regression_head_and_name_its_fields(self):
+        loss_names = {f.name for f in fields(LossBreakdown)}
+        batch_names = {f.name for f in fields(StepBatch)}
+        named = []
+        for prefix, heads in LOSS_STAGES:
+            assert {kind for _, _, kind in heads} <= {"cls", "reg", "lv"}
+            for i, (head, width, kind) in enumerate(heads):
+                if kind == "reg":
+                    assert heads[i + 1][1:] == (width, "lv")
+                if kind == "lv":
+                    assert i > 0 and heads[i - 1][2] == "reg"
+                else:
+                    named.append(f"{prefix}_{head}")
+        assert sorted(named) == sorted(loss_names)
+        assert set(named) <= batch_names
 
     def test_log_variance_outputs_clipped(self):
         p = self._params().stage1
