@@ -21,6 +21,7 @@ from dataclasses import MISSING, fields
 from .bevraster import RangeSpec
 from .errors import ConfigError
 from .model import AnchorLayout, InferConfig, TrainConfig
+from .pcio import read_text
 from .synthgen import SceneSpec
 
 # Each config dataclass: its key prefix and the fields that take no key.
@@ -121,8 +122,7 @@ def parse_config(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=str(path))
+    return parse_config(read_text(path), source=str(path))
 
 
 def _make(cls, cfg: dict, **given):

@@ -180,6 +180,7 @@ def multi_loss(stage1_outputs, stage2_outputs, batch, form: str = "gaussian",
     to row order, and with no positive (or no valid) rows the affected terms
     and gradients are zero.
     """
+    _coeff(form)  # an unknown form fails here, not only when a row is positive
     terms = {}
     grads = [_stage_terms(prefix, heads, outputs, batch, form, attenuate, terms)
              for (prefix, heads), outputs in zip(LOSS_STAGES,

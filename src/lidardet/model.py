@@ -21,6 +21,17 @@ per-slice max/mean heights and density mean/max, plus the candidate's
 own dimensions. No absolute position enters the vector, so features are
 invariant to whole-cell translations of candidate and points together;
 distance enters only through point sparsity.
+
+``featurize`` reduces one window's blocks with ``np.maximum.reduceat`` and
+``np.add.reduceat``, rows first, then columns. ``anchor_features`` pools the
+anchor lattice with the same reductions done on whole slabs of blocks, and
+its lattice rows equal ``featurize`` bit for bit because it adds in
+reduceat's own order. That order is the summation-order rule: a block's sum
+is its first cell plus numpy's pairwise sum of the other cells, which is a
+left fold below 8 terms, 8 interleaved partial sums from 8 to 128 terms,
+and two halves summed apart above 128. A different order would move the
+last bits of the features, and with them the pool digests and artifacts
+that refactors are checked against.
 """
 
 from __future__ import annotations
@@ -82,14 +93,59 @@ def _pool_stats(heights: np.ndarray, density: np.ndarray, pool_blocks: int,
     return _block_features(mx, sm, rows, cols, pool_blocks, z_min)
 
 
-def _window_blocks(ufunc, a, starts, n, pool_blocks, axis):
-    """``_pool_stats``'s reduction along the negative ``axis`` of the n-cell windows
-    at the sorted, distinct ``starts``: block j of window i is entry i * (m + 1) + j,
-    m the number of nonempty blocks, and the entry after each window is filler."""
-    a = a[(Ellipsis, slice(starts[0], starts[-1] + n)) + (slice(None),) * (-axis - 1)]
-    # each window's end bounds its last block; the last end is the slice's end
-    bounds = np.append(_block_spans(n, pool_blocks)[0], n)
-    return ufunc.reduceat(a, (starts[:, None] - starts[0] + bounds).ravel()[:-1], axis=axis)
+SLAB_CELLS = 1 << 16  # floats per lattice chunk's block table: bounds its temporaries
+
+
+def _pairwise_slabs(slab, k, n):
+    """Sum of ``slab(k)`` to ``slab(k + n - 1)``, n >= 1, in the order of numpy's
+    pairwise sum: a left fold below 8 terms; up to 128, 8 interleaved partial sums
+    added as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover terms; above 128, the
+    two halves summed apart, the first a multiple of 8 terms long."""
+    if n < 8:
+        out = slab(k)
+        for i in range(k + 1, k + n):
+            out += slab(i)
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_slabs(slab, k, half) + _pairwise_slabs(slab, k + half, n - half)
+    r = [slab(k + j) for j in range(8)]
+    for i in range(k + 8, k + n - n % 8, 8):
+        for j, lane in enumerate(r):
+            lane += slab(i + j)
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(k + n - n % 8, k + n):
+        out += slab(i)
+    return out
+
+
+def _reduce_blocks(ufunc, a, starts, lengths):
+    """``ufunc.reduceat``'s reduction of the blocks ``a[s:s + n]`` along axis 0, one
+    per distinct (s, n) pair of the int arrays ``starts`` and ``lengths`` broadcast
+    together: returns the table of reduced blocks and each pair's row in it.
+
+    The blocks of one length are reduced as whole slabs ``a[starts + k]``.
+    np.maximum folds them in order; np.add adds the first slab to the pairwise
+    sum of the others, which is the order of reduceat's inner loop, so the
+    table equals reduceat bit for bit."""
+    width = lengths.max() + 1
+    codes = starts * width + lengths
+    pairs, at = np.unique(codes, return_inverse=True)
+    table = np.empty((len(pairs),) + a.shape[1:])
+    for n in np.unique(pairs % width):
+        rows = np.flatnonzero(pairs % width == n)
+
+        def slab(k, s=pairs[rows] // width):
+            return a[s + k]
+
+        if ufunc is np.add:
+            table[rows] = slab(0) + _pairwise_slabs(slab, 1, n - 1) if n > 1 else slab(0)
+        else:
+            out = slab(0)
+            for k in range(1, n):
+                ufunc(out, slab(k), out=out)
+            table[rows] = out
+    return table, at.reshape(codes.shape)
 
 
 CELL_EDGE_TOL = 1e-9  # cells
@@ -207,9 +263,13 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
     """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
 
     Inner anchors are pooled one group of one shape, bin and window size at a
-    time: the block rows are reduced once per distinct window start row across
-    the group's columns, then each anchor's blocks from that strip, with the
-    reductions of ``_pool_stats``. Border anchors go through ``featurize``."""
+    time, in chunks of window start rows. The row pass reduces each distinct
+    row block once across the chunk's columns; the column pass reduces each
+    distinct column block of that strip, transposed to (column, row block,
+    channel), for all of the chunk's row blocks at once. Both passes run
+    ``_reduce_blocks``, which adds in reduceat's order (first cell plus the
+    pairwise sum of the rest), so inner rows equal ``featurize`` bit for bit.
+    Border anchors go through ``featurize``."""
     spec = grid.spec
     res = spec.xy_resolution
     r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
@@ -227,22 +287,26 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
     for key in np.unique(keys[inner]):
         sel = np.flatnonzero(inner & (keys == key))
         _, _, last_r, last_c = np.unravel_index(key, dims)
-        (_, len_r), (_, len_c) = (_block_spans(n + 1, pool_blocks) for n in (last_r, last_c))
-        rows, row_of = np.unique(r0[sel], return_inverse=True)
-        lo, hi = c0[sel].min(), c1[sel].max() + 1
-        # flat index of each anchor's row blocks in the (row block, column) strip
-        starts = (((len(len_r) + 1) * row_of[:, None] + np.arange(len(len_r))) * (hi - lo)
-                  + (c0[sel] - lo)[:, None]).ravel()
-        starts, at = np.unique(starts, return_inverse=True)
-        stats = []
-        for f in (np.maximum, np.add):
-            strip = _window_blocks(f, stack[:, lo:hi], rows, last_r + 1, pool_blocks, -3)
-            blocks = _window_blocks(f, strip.reshape(-1, stack.shape[-1]), starts, last_c + 1,
-                                    pool_blocks, -2)
-            stats.append(blocks[(len(len_c) + 1) * at[:, None] + np.arange(len(len_c))]
-                         .reshape(len(sel), len(len_r), len(len_c), -1))
-            del strip, blocks  # peak memory: one strip and one block table at a time
-        feat[sel, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks, spec.z_min)
+        (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n + 1, pool_blocks))
+                                        for n in (last_r, last_c))
+        # chunks of window start rows whose row-block table holds <= SLAB_CELLS floats
+        sel = sel[np.argsort(r0[sel], kind="stable")]
+        firsts = np.unique(r0[sel], return_index=True)[1]
+        span = c1[sel].max() + 1 - c0[sel].min()
+        per = max(1, SLAB_CELLS // (len(len_r) * span * stack.shape[-1]))
+        bounds = np.append(firsts[::per], len(sel))
+        for sub in (sel[i:j] for i, j in zip(bounds[:-1], bounds[1:])):
+            lo, hi = c0[sub].min(), c1[sub].max() + 1
+            stats = []
+            for f in (np.maximum, np.add):
+                strip, row_at = _reduce_blocks(f, stack[:, lo:hi], r0[sub, None] + at_r, len_r)
+                # (column, row block, channel): the column pass gathers contiguous rows
+                strip = np.ascontiguousarray(strip.transpose(1, 0, 2))
+                table, col_at = _reduce_blocks(f, strip, c0[sub, None] - lo + at_c, len_c)
+                stats.append(table[col_at[:, None, :], row_at[:, :, None]])
+                del strip, table  # peak memory: one strip and one block table at a time
+            feat[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
+                                                     spec.z_min)
     for i in np.flatnonzero(~inner):
         feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
     return feat

@@ -15,6 +15,7 @@ written by ``write_table``; the CSV inputs are read back by ``read_table``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,11 +101,23 @@ class GroundTruthObject:
     difficulty: Difficulty
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file. A byte sequence that is not UTF-8
+    raises ``FormatError("<path>:<line>: ...")``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+
+
 def load_labels(path) -> List[GroundTruthObject]:
     """Parse a label file; FormatError messages carry the 1-based line number."""
     path = Path(path)
     out: List[GroundTruthObject] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -178,10 +191,11 @@ def read_table(path, header, types) -> list:
     """Rows of a ``write_table`` file, each cell parsed by its column's entry
     in ``types`` (``str``, ``int``, ``float``, ``finite_float``...). A header
     other than ``header``, a row of the wrong width or a cell its parser
-    rejects raises ``FormatError("<path>:<line>: ...")``."""
+    rejects raises ``FormatError("<path>:<line>: ...")``; so do bytes that are
+    not UTF-8 and a field over the csv module's size limit."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
         if next(reader, None) != list(header):
             raise FormatError(f"{path}:1: expected header {','.join(header)}")
         for row in reader:
@@ -195,4 +209,6 @@ def read_table(path, header, types) -> list:
                 except ValueError:
                     raise FormatError(f"{where}: bad {name} {text!r}") from None
             rows.append(cells)
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
     return rows

@@ -284,6 +284,21 @@ class TestBoundaries:
         assert run(argv) == 1
         assert f"records.csv:2: bad {field} 'inf'" in self._one_line_error(capsys)
 
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("a" * 200_000 + "\n")
+        assert run(["analyze", "--records", str(path), "--analysis", "tv-vs-distance",
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        err = self._one_line_error(capsys)
+        assert f"{path}:1: field larger than field limit (131072)" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 0\n# caf\xe9\n")
+        assert run(["synth", "--spec", str(cfg), "--count", "1",
+                    "--out", str(tmp_path / "s")]) == 1
+        assert f"{cfg}:2: not UTF-8: byte 0xe9" in self._one_line_error(capsys)
+
     def test_unmatched_record_keeps_nan_sigma(self, tmp_path, capsys):
         _, argv = analyze_inputs(tmp_path, small_records(sigma_label=math.nan))
         assert run(argv) == 0
@@ -549,3 +564,46 @@ class TestConfig:
         cfg = parse_config("seed = 42\n")
         assert make_scene_spec(cfg).seed == 42
         assert make_scene_spec(cfg, seed=7).seed == 7
+
+
+class TestBitFlipFuzz:
+    """Seeded truncations and single-bit flips of a saved cloud, a labels
+    file and a detections CSV, each run through the command that reads it:
+    every run ends in exit 0, or in exit 1 with one ``error:`` line that
+    names the damaged file. An escaping exception (a traceback at the
+    command line) fails the test."""
+
+    CUTS, FLIPS = 16, 64
+
+    def _fuzz(self, capsys, path, argv, seed):
+        data = path.read_bytes()
+        rng = np.random.default_rng(seed)
+        variants = [data[:cut] for cut in rng.integers(0, len(data), self.CUTS)]
+        for bit in rng.choice(8 * len(data), self.FLIPS, replace=False):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        codes = []
+        for damaged in variants:
+            path.write_bytes(damaged)
+            codes.append(run(argv))
+            err = capsys.readouterr().err
+            if codes[-1] != 0:
+                assert codes[-1] == 1, (damaged, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, (damaged, err)
+                assert path.name in err, (damaged, err)
+        assert 1 in codes  # the damage reached the reader
+
+    def test_cloud_through_rasterize(self, workspace, tmp_path, capsys):
+        cloud = tmp_path / "c.bin"
+        shutil.copy(workspace["scenes"] / "scene_0000.bin", cloud)
+        argv = ["rasterize", "--cloud", str(cloud), "--spec", str(workspace["cfg"]),
+                "--out", str(tmp_path / "g.bin")]
+        self._fuzz(capsys, cloud, argv, 21)
+
+    def test_labels_through_train(self, workspace, tmp_path, capsys):
+        noise, argv = train_inputs(workspace, tmp_path)
+        self._fuzz(capsys, noise.with_name("scene_0000.txt"), argv, 22)
+
+    def test_detections_through_eval(self, tmp_path, capsys):
+        self._fuzz(capsys, *eval_inputs(tmp_path, small_dets()), 23)

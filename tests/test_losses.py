@@ -307,6 +307,16 @@ class TestMultiLoss:
         assert breakdown.rpn_reg == 0.0
         assert np.all(g1[1] == 0.0)
 
+    @pytest.mark.parametrize("attenuate", [True, False])
+    def test_unknown_form_rejected_without_positives(self, attenuate):
+        rng = np.random.default_rng(18)
+        out1, out2, batch = _random_batch(rng)
+        batch.rpn_cls[:] = 0
+        batch.frh_cls[:] = 0
+        with pytest.raises(ValueError, match=r"^unknown likelihood form 'student-t'; "
+                                             r"expected one of \('gaussian', 'laplace'\)$"):
+            multi_loss(out1, out2, batch, form="student-t", attenuate=attenuate)
+
     def test_order_invariance(self):
         rng = np.random.default_rng(16)
         out1, out2, batch = _random_batch(rng)

@@ -27,7 +27,7 @@ from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE2_HEADS,
                             save_detections, save_params, stage1_backward,
                             stage1_forward, stage2_backward, stage2_forward,
                             train)
-from lidardet.model import _block_spans, _pool_stats
+from lidardet.model import _block_spans, _pool_stats, _reduce_blocks
 from lidardet.pcio import PointCloud
 from lidardet.synthgen import SceneSpec, generate_scenes
 
@@ -95,6 +95,28 @@ class TestPooling:
                 chunks = [c for c in np.array_split(np.arange(n), k) if len(c)]
                 assert _block_spans(n, k) == ([int(c[0]) for c in chunks],
                                               [len(c) for c in chunks])
+
+    def test_reduce_blocks_equal_reduceat_bit_for_bit(self):
+        # block lengths 1..140 reach the left fold (< 8 terms after the first),
+        # the 8 lanes (8..128) and the halving (> 128) of numpy's pairwise sum
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(400, 3, 2)) * np.exp(rng.uniform(-30.0, 30.0, (400, 3, 2)))
+        a[rng.random(a.shape) < 0.05] = 0.0
+        a[rng.random(a.shape) < 0.05] = -0.0
+        lengths = rng.permutation(np.arange(1, 141)).reshape(35, 4)
+        starts = rng.integers(0, len(a) - lengths + 1)
+        # repeated pairs, and one start with two lengths
+        starts[1], lengths[1] = starts[0], lengths[0]
+        starts[2, 0] = starts[2, 1]
+        for ufunc in (np.maximum, np.add):
+            table, at = _reduce_blocks(ufunc, a, starts, lengths)
+            assert at.shape == starts.shape
+            assert len(table) == len(set(zip(starts.flat, lengths.flat)))
+            want = np.stack([ufunc.reduceat(a[s:s + n], [0], axis=0)[0]
+                             for s, n in zip(starts.flat, lengths.flat)])
+            # bit patterns, so that the sign of a zero counts too
+            np.testing.assert_array_equal(table[at.ravel()].view(np.uint64),
+                                          want.view(np.uint64))
 
     def test_featurize_matches_brute_pool_on_random_clipped_windows(self):
         grid = small_grid(9)
@@ -250,6 +272,23 @@ class TestAnchors:
         for blocks in (1, 2, 3, 4):
             want = np.stack([featurize(grid, aset.box(i), blocks) for i in range(len(aset))])
             np.testing.assert_array_equal(anchor_features(grid, aset, blocks), want)
+
+    def test_anchor_features_equal_featurize_bit_for_bit_at_fine_resolution(self):
+        # at 0.1 m the 4.4 m side pools 15- and 14-cell blocks, whose sums take
+        # the 8-lane branch of the pairwise sum; the 1.6 m side takes the fold
+        spec = RangeSpec(0.0, 16.0, -8.0, 8.0, 0.0, 2.5, 0.1, 5, 0.5)
+        rng = np.random.default_rng(17)
+        n = 30000
+        pts = np.column_stack([rng.uniform(0, 16, n), rng.uniform(-8, 8, n),
+                               rng.uniform(0, 2.5, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        layout = AnchorLayout(shapes=((4.4, 1.6, 1.5), (3.9, 1.7, 1.5)), stride=4)
+        aset = build_anchor_set(layout, spec)
+        want = np.stack([featurize(grid, aset.box(i), 3) for i in range(len(aset))])
+        np.testing.assert_array_equal(anchor_features(grid, aset, 3), want)
+        # a sparse subset, as build_training_set pools per scene
+        idx = rng.choice(len(aset), 64, replace=False)
+        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3), want[idx])
 
     def test_anchor_features_peak_memory_is_small_against_its_output(self):
         # the paper's range at 0.2 m: 350 x 400 cells, 34,800 anchors; no

@@ -105,6 +105,14 @@ class TestLabels:
             load_labels(p)
         assert "2" in str(err.value)
 
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"# header\nCar 10.0 0.0 0.8 4.0 1.8 1.5 0.0 Easy\n"
+                      b"Car 10.0 0.0 0.8 4.0 1.\xff 1.5 0.0 Easy\n")
+        with pytest.raises(FormatError) as err:
+            load_labels(p)
+        assert str(err.value) == f"{p}:3: not UTF-8: byte 0xff at offset 70"
+
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("# header\n\nCar 10.0 0.0 0.8 4.0 1.8 1.5 0.0 Hard\n")
@@ -140,10 +148,17 @@ class TestTable:
         ("name,count,value\nx,1.5,2.0\n", ":2: bad count '1.5'"),
         ("name,count,value\nx,1,abc\n", ":2: bad value 'abc'"),
         ("name,count,value\nx,1,nan\n", ":2: bad value 'nan'"),
-        ("name,count,value\nx,1,-inf\n", ":2: bad value '-inf'")])
+        ("name,count,value\nx,1,-inf\n", ":2: bad value '-inf'"),
+        pytest.param("a" * 200_000 + "\n", ":1: field larger than field limit (131072)",
+                     id="oversized-header-field"),
+        pytest.param("name,count,value\nx,1,2.0\n" + "b" * 200_000 + ",1,2.0\n",
+                     ":3: field larger than field limit", id="oversized-row-field"),
+        ("name,count,value\nx,1,2\udcff\n", ":2: not UTF-8: byte 0xff at offset 22"),
+        ("n\udcc3me,count,value\n", ":1: not UTF-8: byte 0xc3 at offset 1")])
     def test_errors_name_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        # lone surrogates stand for raw bytes that are not UTF-8
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(FormatError) as err:
             read_table(path, self.HEADER, self.TYPES)
         assert str(err.value).startswith(f"{path}{where}")
