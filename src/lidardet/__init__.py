@@ -10,9 +10,9 @@ with a known label-noise law, AP evaluation, and uncertainty analysis.
 __version__ = "0.1.0"
 
 from .bevraster import BevGrid, RangeSpec, rasterize, read_grid, write_grid
-from .boxgeom import (Box3D, ScoredBox, aa_envelope, bev_corners,
-                      intersection_area_bev, iou_3d, iou_bev_aa,
-                      iou_bev_rotated, nms, nms_indices, wrap_angle)
+from .boxgeom import (Box3D, aa_envelope, bev_corners, box_extents,
+                      intersection_area_bev, iou_3d, iou_aa, iou_bev_rotated,
+                      nms_indices, wrap_angle)
 from .codec import (assign, decode_frh, decode_rpn, encode_frh, encode_rpn,
                     kmeans_anchor_dims)
 from .errors import (BadEdges, ConfigError, DegenerateInput, DivergenceError,

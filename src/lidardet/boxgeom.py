@@ -51,16 +51,6 @@ class Box3D:
         return self.cz + 0.5 * self.h
 
 
-@dataclass
-class ScoredBox:
-    box: Box3D
-    score: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-
 # Local corner order: counter-clockwise, starting at (+l/2, +w/2).
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -152,14 +142,6 @@ def iou_aa(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0).T
 
 
-def iou_bev_aa(a: Box3D, b: Box3D) -> float:
-    """IoU of the axis-aligned l-by-w footprints; yaw is ignored.
-
-    Intended for yaw-free boxes (anchors, region proposals, envelopes).
-    """
-    return float(iou_aa(box_extents([a]), box_extents([b]))[0, 0])
-
-
 ENVELOPE_GAP = 1e-9  # m; far above the rounding of corners and envelopes
 
 
@@ -190,37 +172,26 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def nms_indices(boxes: Sequence[ScoredBox], iou_threshold: float,
+def nms_indices(extents: np.ndarray, scores: np.ndarray, iou_threshold: float,
                 keep_max: Optional[int] = None) -> list[int]:
-    """Greedy NMS over axis-aligned BEV footprints; returns kept indices.
+    """Greedy NMS over axis-aligned BEV footprints; returns kept row indices.
 
-    Boxes are visited by descending score with ties broken by lower input
-    index; a box is suppressed when its IoU with any already kept box
-    exceeds the threshold. Kept indices come back in visiting order, so
-    the result is a subsequence of the score-sorted input.
+    ``extents`` is the (N, 4) ``x1, x2, y1, y2`` array of ``box_extents`` or
+    ``aa_extents`` and ``scores`` the (N,) scores. Rows are visited by
+    descending score, ties going to the lower index; a row is suppressed when
+    its ``iou_aa`` with an already kept row exceeds the threshold. At most
+    ``keep_max`` rows are kept, in visiting order, so the result is a
+    subsequence of the score-sorted input.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    n = len(boxes)
-    if n == 0:
-        return []
-    ext = box_extents([sb.box for sb in boxes])
-    scores = np.array([sb.score for sb in boxes])
-
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
     kept: list[int] = []
-    suppressed = np.zeros(n, dtype=bool)
-    for i in order:
+    suppressed = np.zeros(len(extents), dtype=bool)
+    for i in np.argsort(-scores, kind="stable").tolist():
         if keep_max is not None and len(kept) >= keep_max:
             break
         if suppressed[i]:
             continue
         kept.append(i)
-        suppressed |= iou_aa(ext, ext[i:i + 1])[:, 0] > iou_threshold
+        suppressed |= iou_aa(extents, extents[i:i + 1])[:, 0] > iou_threshold
     return kept
-
-
-def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
-        keep_max: Optional[int] = None) -> list[ScoredBox]:
-    """Greedy NMS; returns the kept scored boxes (see ``nms_indices``)."""
-    return [boxes[i] for i in nms_indices(boxes, iou_threshold, keep_max)]

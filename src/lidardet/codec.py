@@ -21,15 +21,16 @@ from .errors import InsufficientData
 RPN_DIM = 6
 FRH_LOC_DIM = 10
 FRH_ORIENT_DIM = 2
+KMEANS_MAX_ITER = 100
 
 
-def kmeans_anchor_dims(gt_dims, k: int = 2, seed: int = 0, max_iter: int = 100) -> np.ndarray:
+def kmeans_anchor_dims(gt_dims, k: int = 2, seed: int = 0) -> np.ndarray:
     """Lloyd's k-means over (l, w, h) triples with farthest-point seeding.
 
     The seed picks the first centroid; the remaining seeds maximize the
     distance to the nearest chosen centroid (ties resolved by lowest
     index), which makes the whole fit deterministic. Empty clusters keep
-    their previous centroid.
+    their previous centroid; at most KMEANS_MAX_ITER Lloyd steps run.
     """
     pts = np.asarray(gt_dims, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -49,7 +50,7 @@ def kmeans_anchor_dims(gt_dims, k: int = 2, seed: int = 0, max_iter: int = 100) 
         min_d = np.minimum(min_d, ((pts - centers[j]) ** 2).sum(axis=1))
 
     assign: Optional[np.ndarray] = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -104,13 +105,13 @@ def decode_rpn(anchor: Box3D, t: np.ndarray) -> Box3D:
     )
 
 
-def encode_frh(roi: Box3D, gt: Box3D, ground_z: float = 0.0):
+def encode_frh(roi: Box3D, gt: Box3D):
     """Stage-2 encoding of a rotated gt against a yaw-free ROI.
 
     Returns ``(t_v, r_v)``: t_v holds the four per-corner BEV offsets
     (gt corner minus ROI corner, normalized by the ROI diagonal; x
     offsets first, then y) followed by the bottom/top heights above
-    ``ground_z`` normalized by the ROI height. r_v is (cos yaw, sin yaw).
+    z = 0 normalized by the ROI height. r_v is (cos yaw, sin yaw).
     Corners pair up by index (both rings start at the local (+l/2, +w/2)
     corner), which is unambiguous for |yaw| < pi/4.
     """
@@ -119,14 +120,13 @@ def encode_frh(roi: Box3D, gt: Box3D, ground_z: float = 0.0):
     delta = (bev_corners(gt) - bev_corners(roi)) / diag
     t_v = np.concatenate([
         delta[:, 0], delta[:, 1],
-        [(gt.z_bottom - ground_z) / roi.h, (gt.z_top - ground_z) / roi.h],
+        [gt.z_bottom / roi.h, gt.z_top / roi.h],
     ])
     r_v = np.array([math.cos(gt.yaw), math.sin(gt.yaw)])
     return t_v, r_v
 
 
-def decode_frh(roi: Box3D, t_v: np.ndarray, r_v: np.ndarray,
-               ground_z: float = 0.0) -> Box3D:
+def decode_frh(roi: Box3D, t_v: np.ndarray, r_v: np.ndarray) -> Box3D:
     """Rebuild a rotated box from corner offsets and a (cos, sin) heading.
 
     The center is the mean of the reconstructed corners, the footprint
@@ -149,8 +149,8 @@ def decode_frh(roi: Box3D, t_v: np.ndarray, r_v: np.ndarray,
     edge = np.linalg.norm
     l = 0.5 * (edge(corners[0] - corners[1]) + edge(corners[2] - corners[3]))
     w = 0.5 * (edge(corners[1] - corners[2]) + edge(corners[3] - corners[0]))
-    z_bottom = ground_z + float(t_v[8]) * roi.h
-    z_top = ground_z + float(t_v[9]) * roi.h
+    z_bottom = float(t_v[8]) * roi.h
+    z_top = float(t_v[9]) * roi.h
     yaw = math.atan2(float(r_v[1]), float(r_v[0]))
     return Box3D(float(center[0]), float(center[1]), 0.5 * (z_bottom + z_top),
                  max(float(l), 1e-3), max(float(w), 1e-3),

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .bevraster import BevGrid, RangeSpec, rasterize
-from .boxgeom import (Box3D, ScoredBox, aa_envelope, aa_extents, box_extents, iou_aa,
+from .boxgeom import (Box3D, aa_envelope, aa_extents, box_extents, iou_aa,
                       nms_indices)
 from .codec import (FRH_LOC_DIM, FRH_ORIENT_DIM, RPN_DIM, assign,
                     decode_frh, decode_rpn, encode_frh, encode_rpn)
@@ -235,8 +235,12 @@ class AnchorSet:
 
 
 def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
+    """The anchor lattice on spec's grid; ValueError when it holds no anchor."""
     lat_rows = np.arange(layout.stride // 2, spec.n_rows, layout.stride)
     lat_cols = np.arange(layout.stride // 2, spec.n_cols, layout.stride)
+    if not (len(lat_rows) and len(lat_cols)):
+        raise ValueError(f"anchor stride {layout.stride} places no anchor on the "
+                         f"{spec.n_rows}x{spec.n_cols}-cell grid")
     rr = np.repeat(lat_rows, len(lat_cols))
     cc = np.tile(lat_cols, len(lat_rows))
     rows, cols, sidx, b90, ll, ww, hh = [], [], [], [], [], [], []
@@ -430,7 +434,8 @@ def load_params(path) -> ModelParams:
     head tables give for the feature length and hidden widths of
     stage1.w1 and stage2.w1; the body must hold exactly their float32
     values, all finite; stride and pool_blocks must be positive integers,
-    and the feature length one that feature_length gives for pool_blocks.
+    the feature length one that feature_length gives for pool_blocks, and
+    every anchor_shapes entry positive.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -475,6 +480,9 @@ def load_params(path) -> ModelParams:
     if cells % (2 * block) or cells < 4 * block:
         raise FormatError(f"{path}: feature length {dims[0]} does not fit "
                           f"pool_blocks {meta['pool_blocks']:g}")
+    if not (arrays["anchor_shapes"] > 0.0).all():
+        raise FormatError(f"{path}: anchor_shapes must be positive, got "
+                          f"{arrays['anchor_shapes'].min():g}")
     params = ModelParams(*dims, anchor_shapes=arrays["anchor_shapes"], meta=meta)
     for name, view in params.views.items():
         view[...] = arrays[name]
@@ -677,16 +685,15 @@ class StepBatch:
 
 
 def run_batch(params: ModelParams, grads: ModelParams, batch: StepBatch,
-              cfg: TrainConfig, step: int, attenuate: bool,
-              train_mode: bool = True) -> LossBreakdown:
+              cfg: TrainConfig, step: int, attenuate: bool) -> LossBreakdown:
     """Loss of one step; its parameter gradients overwrite every view of
     ``grads`` (a ``zeros_like`` of params, reused across steps).
 
     Dropout masks are regenerated from (seed, step, stage), so repeated
-    calls at the same step see identical masks.
+    calls at the same step see identical masks; a dropout_rate of 0 uses none.
     """
     mask1 = mask2 = None
-    if train_mode and cfg.dropout_rate > 0.0:
+    if cfg.dropout_rate > 0.0:
         mask1 = dropout_mask(np.random.default_rng([cfg.seed, 1, step, 1]),
                              (len(batch.x1), cfg.hidden1), cfg.dropout_rate)
         mask2 = dropout_mask(np.random.default_rng([cfg.seed, 1, step, 2]),
@@ -955,56 +962,37 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     logits, reg, lv, _ = stage1_forward(params.stage1, x)
     scores = softmax(logits)[:, 1]
     order = np.argsort(-scores, kind="stable")[:icfg.pre_nms_top]
-    proposals = []
-    for i in order:
-        box = decode_rpn(aset.box(int(i)), reg[i])
-        proposals.append(ScoredBox(box=box, score=float(scores[i])))
-    keep = nms_indices(proposals, icfg.nms_threshold, icfg.proposal_count)
-    rois = []
-    roi_lv = []
+    proposals = [decode_rpn(aset.box(int(i)), reg[i]) for i in order]
+    keep = nms_indices(box_extents(proposals), scores[order], icfg.nms_threshold,
+                       icfg.proposal_count)
+    ranks = []
     feats = []
     for k in keep:
-        roi = proposals[k].box
         try:
-            f = featurize(grid, roi, pool_blocks)
+            feats.append(featurize(grid, proposals[k], pool_blocks))
         except OutOfGrid:
             continue
-        rois.append(roi)
-        roi_lv.append(lv[order[k]])
-        feats.append(f)
-    if not rois:
+        ranks.append(k)
+    if not ranks:
         return []
-    x2 = np.stack(feats)
-    logits2, loc, loc_lv, orient, orient_lv, _ = stage2_forward(params.stage2, x2)
+    logits2, loc, loc_lv, orient, orient_lv, _ = stage2_forward(params.stage2,
+                                                                 np.stack(feats))
     scores2 = softmax(logits2)[:, 1]
-    dets = []
-    for i, roi in enumerate(rois):
-        if scores2[i] < icfg.score_min:
-            continue
-        box = decode_frh(roi, loc[i], orient[i])
-        dets.append(Detection(box=box, score=float(scores2[i]),
-                              rpn_log_var=np.array(roi_lv[i]),
-                              loc_log_var=np.array(loc_lv[i]),
-                              orient_log_var=np.array(orient_lv[i]),
-                              frame_id=frame_id))
-    if not dets:
-        return []
-    envelopes = [ScoredBox(box=aa_envelope(d.box), score=d.score) for d in dets]
-    final = nms_indices(envelopes, icfg.final_nms_threshold, len(envelopes))
+    dets = [Detection(box=decode_frh(proposals[k], loc[i], orient[i]),
+                      score=float(scores2[i]), rpn_log_var=np.array(lv[order[k]]),
+                      loc_log_var=np.array(loc_lv[i]),
+                      orient_log_var=np.array(orient_lv[i]), frame_id=frame_id)
+            for i, k in enumerate(ranks) if scores2[i] >= icfg.score_min]
+    final = nms_indices(box_extents([aa_envelope(d.box) for d in dets]),
+                        np.array([d.score for d in dets]), icfg.final_nms_threshold)
     return [dets[i] for i in final]
 
 
 def detect_scenes(params: ModelParams, scenes, spec: RangeSpec,
-                  icfg: InferConfig = InferConfig(), grids=None,
-                  feats=None) -> list:
-    """Run inference over scenes; cached grids/anchor features skip rework."""
-    out = []
-    for i, scene in enumerate(scenes):
-        grid = grids[i] if grids is not None else rasterize(scene.cloud, spec)
-        af = feats[i] if feats is not None else None
-        out.append(infer(params, grid, icfg, frame_id=scene.cloud.frame_id,
-                         anchor_feats=af))
-    return out
+                  icfg: InferConfig = InferConfig()) -> list:
+    """Run inference over scenes, one detection list per scene."""
+    return [infer(params, rasterize(scene.cloud, spec), icfg, frame_id=scene.cloud.frame_id)
+            for scene in scenes]
 
 
 DET_FIELDS = (["cx", "cy", "cz", "l", "w", "h", "yaw", "score"]
@@ -1122,10 +1110,9 @@ def _check_multi_loss(seed: int, rtol: float) -> list:
         f"multi_loss gradient {{}} ({form})")
 
 
-def _check_end_to_end(seed: int, rtol: float, train_mode: bool) -> list:
+def _check_end_to_end(cfg: TrainConfig, rtol: float) -> list:
     feat_len = 15
-    cfg = _gradcheck_cfg(seed)
-    rng = np.random.default_rng([seed, 12])
+    rng = np.random.default_rng([cfg.seed, 12])
     layout = AnchorLayout(shapes=((4.0, 1.8, 1.5),))
     params = init_params(cfg, feat_len, layout)
     for _, arr in named_arrays(params):
@@ -1134,12 +1121,11 @@ def _check_end_to_end(seed: int, rtol: float, train_mode: bool) -> list:
     batch = _random_step_batch(rng, feat_len)
     step = 3
     grads, scratch = params.zeros_like(), params.zeros_like()
-    run_batch(params, grads, batch, cfg, step, attenuate=True, train_mode=train_mode)
+    run_batch(params, grads, batch, cfg, step, attenuate=True)
     return _check_arrays(
         [(name, arr, grads.views[name]) for name, arr in params.views.items()],
-        lambda: run_batch(params, scratch, batch, cfg, step, attenuate=True,
-                          train_mode=train_mode).total, rtol,
-        f"end-to-end gradient {{}} (train_mode={train_mode})")
+        lambda: run_batch(params, scratch, batch, cfg, step, attenuate=True).total, rtol,
+        f"end-to-end gradient {{}} (dropout_rate={cfg.dropout_rate:g})")
 
 
 def gradcheck(seeds: int = 20, rtol: float = 1e-4):
@@ -1156,8 +1142,9 @@ def gradcheck(seeds: int = 20, rtol: float = 1e-4):
         failures += [f"seed {seed}: {msg}" for msg in _check_multi_loss(seed, rtol)]
     for seed in range(min(seeds, 6)):
         failures += [f"seed {seed}: {msg}"
-                     for msg in _check_end_to_end(seed, rtol, train_mode=True)]
-    failures += [f"seed 0: {msg}" for msg in _check_end_to_end(0, rtol, train_mode=False)]
+                     for msg in _check_end_to_end(_gradcheck_cfg(seed), rtol)]
+    failures += [f"seed 0: {msg}" for msg
+                 in _check_end_to_end(replace(_gradcheck_cfg(0), dropout_rate=0.0), rtol)]
     report = [f"checked {seeds} seeds at rtol {rtol:g}"]
     if failures:
         report += failures

@@ -48,22 +48,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.points[:, 2]
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.points[:, 3]
-
 
 def load_cloud(path) -> PointCloud:
     """Read a binary cloud file; FormatError on bad length or non-finite data."""

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from lidardet.bevraster import RangeSpec, rasterize
-from lidardet.boxgeom import (Box3D, ScoredBox, bev_corners, iou_3d,
+from lidardet.boxgeom import (Box3D, bev_corners, box_extents, iou_3d,
                               iou_bev_rotated, nms_indices)
 from lidardet.cli import run as cli_run
 from lidardet.codec import (RPN_DIM, decode_frh, decode_rpn, encode_frh,
@@ -273,8 +273,8 @@ def _aa_iou(a, b):
     return inter / (a.l * a.w + b.l * b.w - inter) if inter else 0.0
 
 
-def brute_greedy_nms(boxes, threshold, keep_max):
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+def brute_greedy_nms(boxes, scores, threshold, keep_max):
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     kept, dead = [], set()
     for i in order:
         if i in dead:
@@ -284,7 +284,7 @@ def brute_greedy_nms(boxes, threshold, keep_max):
             break
         for j in order:
             if j not in dead and j != i \
-                    and _aa_iou(boxes[i].box, boxes[j].box) > threshold:
+                    and _aa_iou(boxes[i], boxes[j]) > threshold:
                 dead.add(j)
     return kept
 
@@ -307,15 +307,16 @@ def test_criterion_05_geometry_oracles(capsys):
     nms_ok = True
     for _ in range(100):
         n = int(rng.integers(1, 16))
-        boxes = [ScoredBox(Box3D(rng.uniform(-8, 8), rng.uniform(-8, 8), 1.0,
-                                 rng.uniform(2, 5), rng.uniform(1, 3), 1.5,
-                                 0.0),
-                           float(rng.choice([0.2, 0.4, 0.6, 0.8, 0.9])))
+        pairs = [(Box3D(rng.uniform(-8, 8), rng.uniform(-8, 8), 1.0,
+                        rng.uniform(2, 5), rng.uniform(1, 3), 1.5, 0.0),
+                  float(rng.choice([0.2, 0.4, 0.6, 0.8, 0.9])))
                  for _ in range(n)]
+        boxes = [box for box, _ in pairs]
+        scores = np.array([score for _, score in pairs])
         threshold = float(rng.choice([0.2, 0.4, 0.6]))
         keep_max = int(rng.integers(1, n + 1)) if rng.random() < 0.3 else n
-        got = nms_indices(boxes, threshold, keep_max)
-        want = brute_greedy_nms(boxes, threshold, keep_max)
+        got = nms_indices(box_extents(boxes), scores, threshold, keep_max)
+        want = brute_greedy_nms(boxes, scores, threshold, keep_max)
         nms_ok = nms_ok and list(got) == want
     ok = iou_ok and nms_ok
     report(capsys, 5, ok,

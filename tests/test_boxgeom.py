@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lidardet.boxgeom import (Box3D, ScoredBox, aa_envelope, bev_corners,
-                              box_extents, intersection_area_bev, iou_3d,
-                              iou_bev_aa, iou_bev_rotated, nms, nms_indices,
-                              polygon_area, wrap_angle)
+from lidardet.boxgeom import (Box3D, aa_envelope, bev_corners, box_extents,
+                              intersection_area_bev, iou_3d, iou_aa,
+                              iou_bev_rotated, nms_indices, polygon_area,
+                              wrap_angle)
 
 
 def mc_iou_bev(a, b, rng, samples=400_000):
@@ -39,16 +39,16 @@ def mc_iou_bev(a, b, rng, samples=400_000):
     return np.count_nonzero(in_a & in_b) / union
 
 
-def brute_nms(boxes, threshold, keep_max=None):
+def brute_nms(boxes, scores, threshold, keep_max=None):
     """Independent greedy reference: AA IoU, score order, index tie-break."""
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
         if keep_max is not None and len(kept) >= keep_max:
             break
         suppressed = False
         for j in kept:
-            a, b = boxes[i].box, boxes[j].box
+            a, b = boxes[i], boxes[j]
             ax1, ax2 = a.cx - a.l / 2, a.cx + a.l / 2
             ay1, ay2 = a.cy - a.w / 2, a.cy + a.w / 2
             bx1, bx2 = b.cx - b.l / 2, b.cx + b.l / 2
@@ -244,72 +244,61 @@ class TestAxisAlignedIoU:
 
     def test_hand_cases_ignore_yaw(self):
         a = Box3D(0, 0, 0.8, 4, 2, 1.5, 0.0)
-        assert iou_bev_aa(a, Box3D(0.5, 0, 0.8, 4, 2, 1.5, 0.7)) == pytest.approx(7 / 9)
-        assert iou_bev_aa(a, Box3D(5, 0, 0.8, 4, 2, 1.5, 0.0)) == 0.0
-        assert iou_bev_aa(a, a) == 1.0
-
-
-class TestScoredBox:
-    def test_score_bounds_enforced(self):
-        box = Box3D(0, 0, 0, 1, 1, 1, 0)
-        with pytest.raises(ValueError):
-            ScoredBox(box=box, score=1.5)
-        with pytest.raises(ValueError):
-            ScoredBox(box=box, score=-0.1)
+        others = [Box3D(0.5, 0, 0.8, 4, 2, 1.5, 0.7), Box3D(5, 0, 0.8, 4, 2, 1.5, 0.0), a]
+        iou = iou_aa(box_extents([a]), box_extents(others))[0]
+        assert iou[0] == pytest.approx(7 / 9)
+        assert iou[1] == 0.0 and iou[2] == 1.0
 
 
 class TestNms:
+    SQUARE = box_extents([Box3D(0, 0, 0, 2, 2, 1, 0)])
+
     def _random_set(self, rng, n):
-        out = []
+        boxes, scores = [], []
         for _ in range(n):
-            box = Box3D(rng.uniform(-8, 8), rng.uniform(-8, 8), 0.0,
-                        rng.uniform(1, 5), rng.uniform(1, 3), 1.0, 0.0)
-            out.append(ScoredBox(box=box, score=float(rng.uniform(0, 1))))
-        return out
+            boxes.append(Box3D(rng.uniform(-8, 8), rng.uniform(-8, 8), 0.0,
+                               rng.uniform(1, 5), rng.uniform(1, 3), 1.0, 0.0))
+            scores.append(float(rng.uniform(0, 1)))
+        return boxes, np.array(scores)
 
     def test_single_box_kept(self):
-        boxes = [ScoredBox(box=Box3D(0, 0, 0, 2, 2, 1, 0), score=0.7)]
-        assert nms_indices(boxes, 0.5) == [0]
+        assert nms_indices(self.SQUARE, np.array([0.7]), 0.5) == [0]
+
+    def test_zero_rows_keep_nothing(self):
+        assert nms_indices(np.empty((0, 4)), np.empty(0), 0.5) == []
+        assert nms_indices(np.empty((0, 4)), np.empty(0), 0.5, keep_max=3) == []
 
     def test_duplicate_suppressed_keeps_higher_score(self):
-        box = Box3D(0, 0, 0, 2, 2, 1, 0)
-        boxes = [ScoredBox(box=box, score=0.4), ScoredBox(box=box, score=0.9)]
-        assert nms_indices(boxes, 0.5) == [1]
+        ext = np.repeat(self.SQUARE, 2, axis=0)
+        assert nms_indices(ext, np.array([0.4, 0.9]), 0.5) == [1]
 
     def test_equal_scores_tie_break_by_index(self):
-        box = Box3D(0, 0, 0, 2, 2, 1, 0)
-        boxes = [ScoredBox(box=box, score=0.5), ScoredBox(box=box, score=0.5)]
-        assert nms_indices(boxes, 0.5) == [0]
+        ext = np.repeat(self.SQUARE, 2, axis=0)
+        assert nms_indices(ext, np.array([0.5, 0.5]), 0.5) == [0]
 
     def test_threshold_is_strict(self):
         # IoU exactly at the threshold is kept, only above suppresses
-        a = ScoredBox(box=Box3D(0, 0, 0, 2, 2, 1, 0), score=0.9)
-        b = ScoredBox(box=Box3D(1, 0, 0, 2, 2, 1, 0), score=0.8)  # IoU 1/3
-        assert nms_indices([a, b], 1.0 / 3.0) == [0, 1]
-        assert nms_indices([a, b], 1.0 / 3.0 - 1e-9) == [0]
+        ext = box_extents([Box3D(0, 0, 0, 2, 2, 1, 0), Box3D(1, 0, 0, 2, 2, 1, 0)])  # IoU 1/3
+        scores = np.array([0.9, 0.8])
+        assert nms_indices(ext, scores, 1.0 / 3.0) == [0, 1]
+        assert nms_indices(ext, scores, 1.0 / 3.0 - 1e-9) == [0]
 
     def test_keep_max_truncates(self):
         rng = np.random.default_rng(10)
-        boxes = self._random_set(rng, 30)
-        full = nms_indices(boxes, 0.99)
-        capped = nms_indices(boxes, 0.99, keep_max=5)
+        boxes, scores = self._random_set(rng, 30)
+        full = nms_indices(box_extents(boxes), scores, 0.99)
+        capped = nms_indices(box_extents(boxes), scores, 0.99, keep_max=5)
         assert capped == full[:5]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(0, 40))
-            boxes = self._random_set(rng, n)
+            boxes, scores = self._random_set(rng, n)
             threshold = float(rng.uniform(0.1, 0.9))
-            assert nms_indices(boxes, threshold) == brute_nms(boxes, threshold)
-
-    def test_nms_returns_boxes_in_kept_order(self):
-        rng = np.random.default_rng(12)
-        boxes = self._random_set(rng, 25)
-        idx = nms_indices(boxes, 0.4)
-        kept = nms(boxes, 0.4)
-        assert kept == [boxes[i] for i in idx]
+            assert (nms_indices(box_extents(boxes), scores, threshold)
+                    == brute_nms(boxes, scores, threshold))
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            nms_indices([], 1.5)
+            nms_indices(np.empty((0, 4)), np.empty(0), 1.5)

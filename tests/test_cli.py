@@ -2,6 +2,7 @@
 
 import math
 import shutil
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -272,6 +273,41 @@ class TestBoundaries:
         assert code == 1
         assert f"k must be >= 1, got {clusters}" in self._one_line_error(capsys)
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("value", [-4.2, 0.0])
+    def test_non_positive_anchor_shape_in_params_blob(self, workspace, tmp_path, capsys,
+                                                      value):
+        blob = workspace["params"].read_bytes()
+        # one anchor cluster: anchor_shapes is the (1, 3) array before meta.layout
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:-24] + struct.pack("<f", value) + blob[-20:])
+        code = run(["infer", "--params", str(bad), "--data", str(workspace["scenes"]),
+                    "--out", str(tmp_path / "dets"), "--config", str(workspace["cfg"])])
+        assert code == 1
+        assert f"{bad}: anchor_shapes must be positive, got {value:g}" \
+            in self._one_line_error(capsys)
+
+    def test_empty_anchor_lattice_in_train(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + "anchor.stride = 1000\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert "anchor stride 1000 places no anchor on the 64x64-cell grid" \
+            in self._one_line_error(capsys)
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_empty_anchor_lattice_in_params_blob(self, workspace, tmp_path, capsys):
+        blob = workspace["params"].read_bytes()
+        # meta.layout, the last array, starts with the stride
+        wide = tmp_path / "wide.bin"
+        wide.write_bytes(blob[:-12] + struct.pack("<f", 1000.0) + blob[-8:])
+        code = run(["infer", "--params", str(wide), "--data", str(workspace["scenes"]),
+                    "--out", str(tmp_path / "dets"), "--config", str(workspace["cfg"])])
+        assert code == 1
+        assert "anchor stride 1000 places no anchor on the 64x64-cell grid" \
+            in self._one_line_error(capsys)
 
     def test_nan_detection_score(self, tmp_path, capsys):
         _, argv = eval_inputs(tmp_path, small_dets(score=math.nan))

@@ -102,14 +102,6 @@ class TestFrhCodec:
         b = decode_frh(roi, t_v, 2.5 * r_v)
         assert a.yaw == pytest.approx(b.yaw, abs=1e-12)
 
-    def test_ground_offset_shifts_heights(self):
-        roi = Box3D(0, 0, 1.0, 4, 2, 2.0, 0.0)
-        gt = Box3D(0, 0, 1.2, 4, 2, 1.6, 0.1)
-        t_v, r_v = encode_frh(roi, gt, ground_z=0.4)
-        back = decode_frh(roi, t_v, r_v, ground_z=0.4)
-        assert back.cz == pytest.approx(gt.cz, abs=1e-9)
-        assert back.h == pytest.approx(gt.h, abs=1e-9)
-
     def test_decoded_box_close_in_iou(self):
         rng = np.random.default_rng(300)
         for _ in range(200):

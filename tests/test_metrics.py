@@ -1,12 +1,21 @@
 """Matching and average precision against hand cases and a reference sweep."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from lidardet.boxgeom import Box3D, ScoredBox, iou_bev_rotated
+from lidardet.boxgeom import Box3D, iou_bev_rotated
 from lidardet.errors import NoGroundTruth
 from lidardet.metrics import (EvalResult, average_precision, evaluate, match)
 from lidardet.pcio import Difficulty, GroundTruthObject, ObjectClass
+
+
+class Scored(NamedTuple):
+    """A detection as match sees it: any object with box and score."""
+
+    box: Box3D
+    score: float
 
 
 def box_at(x, y, l=4.0, w=2.0):
@@ -62,7 +71,7 @@ def reference_match(dets, gt_boxes, iou_fn, threshold):
 class TestMatch:
     def test_two_dets_one_gt(self):
         gt = [box_at(10, 0)]
-        dets = [ScoredBox(box_at(10, 0), 0.6), ScoredBox(box_at(10.2, 0), 0.9)]
+        dets = [Scored(box_at(10, 0), 0.6), Scored(box_at(10.2, 0), 0.9)]
         res = match(dets, gt, iou_bev_rotated, 0.5)
         assert [m[:2] for m in res.matches] == [(1, 0)]
         assert res.false_positives == [0]
@@ -70,19 +79,19 @@ class TestMatch:
 
     def test_score_tie_breaks_by_input_index(self):
         gt = [box_at(10, 0)]
-        dets = [ScoredBox(box_at(10.3, 0), 0.7), ScoredBox(box_at(10, 0), 0.7)]
+        dets = [Scored(box_at(10.3, 0), 0.7), Scored(box_at(10, 0), 0.7)]
         res = match(dets, gt, iou_bev_rotated, 0.5)
         assert res.matches[0][0] == 0
 
     def test_iou_tie_takes_lower_gt_index(self):
         gt = [box_at(10, 0), box_at(10, 0)]
-        dets = [ScoredBox(box_at(10, 0), 0.9)]
+        dets = [Scored(box_at(10, 0), 0.9)]
         res = match(dets, gt, iou_bev_rotated, 0.5)
         assert res.matches == [(0, 0, 1.0)]
         assert res.false_negatives == [1]
 
     def test_below_threshold_is_fp_and_fn(self):
-        res = match([ScoredBox(box_at(10, 0), 0.9)], [box_at(30, 0)],
+        res = match([Scored(box_at(10, 0), 0.9)], [box_at(30, 0)],
                     iou_bev_rotated, 0.5)
         assert res.matches == []
         assert res.false_positives == [0]
@@ -90,7 +99,7 @@ class TestMatch:
 
     def test_each_gt_matches_once(self):
         gt = [box_at(10, 0)]
-        dets = [ScoredBox(box_at(10, 0), 0.9), ScoredBox(box_at(10, 0), 0.8)]
+        dets = [Scored(box_at(10, 0), 0.9), Scored(box_at(10, 0), 0.8)]
         res = match(dets, gt, iou_bev_rotated, 0.5)
         assert len(res.matches) == 1
         assert res.false_positives == [1]
@@ -107,9 +116,9 @@ class TestMatch:
             gts = [box_at(rng.uniform(5, 40), rng.uniform(-10, 10),
                           rng.uniform(3, 5), rng.uniform(1.5, 2.5))
                    for _ in range(n_gt)]
-            dets = [ScoredBox(box_at(rng.uniform(5, 40), rng.uniform(-10, 10),
-                                     rng.uniform(3, 5), rng.uniform(1.5, 2.5)),
-                              float(rng.choice([0.3, 0.5, 0.7, 0.9])))
+            dets = [Scored(box_at(rng.uniform(5, 40), rng.uniform(-10, 10),
+                                  rng.uniform(3, 5), rng.uniform(1.5, 2.5)),
+                           float(rng.choice([0.3, 0.5, 0.7, 0.9])))
                     for _ in range(n_det)]
             got = match(dets, gts, iou_bev_rotated, 0.3)
             want = reference_match(dets, gts, iou_bev_rotated, 0.3)
@@ -174,7 +183,7 @@ class TestAveragePrecision:
 class TestEvaluate:
     def test_perfect_single_scene(self):
         gts = [[gt_at(10, 0), gt_at(20, 5)]]
-        dets = [[ScoredBox(box_at(10, 0), 0.9), ScoredBox(box_at(20, 5), 0.8)]]
+        dets = [[Scored(box_at(10, 0), 0.9), Scored(box_at(20, 5), 0.8)]]
         res = evaluate(dets, gts, iou_bev_rotated, 0.5)
         assert res.ap == 1.0
         assert len(res.matches) == 2
@@ -188,8 +197,8 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         gts = [[gt_at(rng.uniform(5, 40), rng.uniform(-10, 10))
                 for _ in range(4)] for _ in range(3)]
-        dets = [[ScoredBox(box_at(g.box.cx + rng.uniform(-1, 1), g.box.cy),
-                           float(rng.random()))
+        dets = [[Scored(box_at(g.box.cx + rng.uniform(-1, 1), g.box.cy),
+                        float(rng.random()))
                  for g in scene] for scene in gts]
         res = evaluate(dets, gts, iou_bev_rotated, 0.3)
         assert np.all(np.diff(res.recalls) >= 0.0)
@@ -197,16 +206,16 @@ class TestEvaluate:
 
     def test_pools_scenes_into_one_sweep(self):
         gts = [[gt_at(10, 0)], [gt_at(20, 0)]]
-        dets = [[ScoredBox(box_at(10, 0), 0.9)],
-                [ScoredBox(box_at(40, 0), 0.95)]]  # cross-scene FP outranks TP
+        dets = [[Scored(box_at(10, 0), 0.9)],
+                [Scored(box_at(40, 0), 0.95)]]  # cross-scene FP outranks TP
         res = evaluate(dets, gts, iou_bev_rotated, 0.5)
         assert res.ap == reference_ap(2, [0.9, 0.95], [True, False])
 
     def test_by_difficulty_ignores_other_matches(self):
         gts = [[gt_at(10, 0, Difficulty.EASY), gt_at(30, 0, Difficulty.HARD)]]
-        dets = [[ScoredBox(box_at(40, 8), 0.95),   # false positive, top score
-                 ScoredBox(box_at(10, 0), 0.9),    # easy hit
-                 ScoredBox(box_at(30, 0), 0.8)]]   # hard hit
+        dets = [[Scored(box_at(40, 8), 0.95),   # false positive, top score
+                 Scored(box_at(10, 0), 0.9),    # easy hit
+                 Scored(box_at(30, 0), 0.8)]]   # hard hit
         res = evaluate(dets, gts, iou_bev_rotated, 0.5)
         # per-difficulty sweep is FP then TP over one truth
         assert res.by_difficulty["Easy"] == 0.5
@@ -215,7 +224,7 @@ class TestEvaluate:
 
     def test_absent_difficulties_omitted(self):
         gts = [[gt_at(10, 0, Difficulty.EASY)]]
-        dets = [[ScoredBox(box_at(10, 0), 0.9)]]
+        dets = [[Scored(box_at(10, 0), 0.9)]]
         res = evaluate(dets, gts, iou_bev_rotated, 0.5)
         assert set(res.by_difficulty) == {"Easy"}
         assert res.by_difficulty["Easy"] == 1.0
@@ -230,8 +239,8 @@ class TestEvaluate:
 
     def test_matches_carry_scene_and_indices(self):
         gts = [[gt_at(10, 0)], [gt_at(20, 0)]]
-        dets = [[ScoredBox(box_at(10, 0), 0.9)],
-                [ScoredBox(box_at(20, 0), 0.8)]]
+        dets = [[Scored(box_at(10, 0), 0.9)],
+                [Scored(box_at(20, 0), 0.8)]]
         res = evaluate(dets, gts, iou_bev_rotated, 0.5)
         assert [(s, d, g) for s, d, g, _ in res.matches] == [(0, 0, 0), (1, 0, 0)]
         for *_, iou in res.matches:
@@ -247,8 +256,8 @@ def test_evaluate_matches_each_scene_once():
         return iou_bev_rotated(a, b)
     gts = [[gt_at(10, 0, Difficulty.EASY), gt_at(30, 0, Difficulty.HARD)],
            [gt_at(20, 5, Difficulty.MODERATE)]]
-    dets = [[ScoredBox(box_at(10, 0), 0.9), ScoredBox(box_at(31, 0), 0.7)],
-            [ScoredBox(box_at(20, 5), 0.8), ScoredBox(box_at(40, 8), 0.6)]]
+    dets = [[Scored(box_at(10, 0), 0.9), Scored(box_at(31, 0), 0.7)],
+            [Scored(box_at(20, 5), 0.8), Scored(box_at(40, 8), 0.6)]]
     res = evaluate(dets, gts, counting_iou, 0.5)
     assert set(res.by_difficulty) == {"Easy", "Moderate", "Hard"}
     n_evaluate = len(calls)

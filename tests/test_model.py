@@ -833,8 +833,9 @@ class TestRunBatch:
         params = init_params(self.CFG, 12, self.LAYOUT)
         batch = random_batch(np.random.default_rng(6), 12)
         grads = params.zeros_like()
-        a = run_batch(params, grads, batch, self.CFG, 1, True, train_mode=False)
-        b = run_batch(params, grads, batch, self.CFG, 2, True, train_mode=False)
+        cfg = replace(self.CFG, dropout_rate=0.0)
+        a = run_batch(params, grads, batch, cfg, 1, True)
+        b = run_batch(params, grads, batch, cfg, 2, True)
         assert a.total == b.total
 
 
@@ -909,18 +910,9 @@ class TestInference:
             for d in dets:
                 assert d.frame_id == scene.cloud.frame_id
 
-    def test_detect_scenes_accepts_cached_grids_and_features(self):
-        scenes, params, _ = self._setup()
-        spec = SCENE_SPEC.range_spec
-        grids = [rasterize(s.cloud, spec) for s in scenes]
-        aset = build_anchor_set(params.layout(), spec)
-        feats = [anchor_features(g, aset, params.pool_blocks) for g in grids]
-        plain = detect_scenes(params, scenes, spec)
-        cached = detect_scenes(params, scenes, spec, grids=grids, feats=feats)
-        for da, db in zip(plain, cached):
-            assert len(da) == len(db)
-            for x, y in zip(da, db):
-                assert x.box == y.box and x.score == y.score
+    def test_score_min_one_returns_no_detections(self):
+        _, params, grid = self._setup()
+        assert infer(params, grid, InferConfig(score_min=1.0)) == []
 
 
 class TestDetectionIO:
