@@ -5,7 +5,11 @@
 # every output file, printed output included, byte for byte. Each side
 # also trains once more with `train.form = laplace` appended to a copy of
 # quick.cfg (model_laplace.bin, train_log_laplace.csv), so that both
-# likelihood forms of the training loss are compared. Each side
+# likelihood forms of the training loss are compared. Each side also
+# trains with `train.hidden1 = 256` appended (model_h256.bin, 4,096 rows per
+# stage-1 block) and runs infer with that model on a 192 x 192-cell raster at
+# quick.cfg's resolution and slices (dets_h256/: 9,216 anchors, two stage-1
+# blocks), so that a multi-block stage 1 is compared. Each side
 # also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
@@ -43,6 +47,9 @@ pipeline() {  # <source tree> <output dir>
     mkdir -p "$out"
     cp "$tmp/quick.cfg" "$out/"
     { cat "$tmp/quick.cfg"; echo "train.form = laplace"; } > "$out/laplace.cfg"
+    { cat "$tmp/quick.cfg"; echo "train.hidden1 = 256"; } > "$out/h256.cfg"
+    { cat "$out/h256.cfg"; echo "raster.x_max = 96.0"; echo "raster.y_min = -48.0"
+      echo "raster.y_max = 48.0"; } > "$out/h256_wide.cfg"
     (
         cd "$out"
         ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
@@ -50,8 +57,12 @@ pipeline() {  # <source tree> <output dir>
         ldet train --data scenes --config quick.cfg --out-params model.bin --log train_log.csv
         ldet train --data scenes --config laplace.cfg --out-params model_laplace.bin \
             --log train_log_laplace.csv
+        ldet train --data scenes --config h256.cfg --out-params model_h256.bin \
+            --log train_log_h256.csv
         ldet infer --params model.bin --data scenes --out dets --config quick.cfg \
             --records records.csv
+        ldet infer --params model_h256.bin --data scenes --out dets_h256 \
+            --config h256_wide.cfg
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
         for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \
                 rpn-vs-frh loc-vs-orient; do

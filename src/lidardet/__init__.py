@@ -15,9 +15,9 @@ from .boxgeom import (Box3D, aa_envelope, bev_corners, box_extents,
                       nms_indices, wrap_angle)
 from .codec import (assign, decode_frh, decode_rpn, encode_frh, encode_rpn,
                     kmeans_anchor_dims)
-from .errors import (BadEdges, ConfigError, DegenerateInput, DivergenceError,
-                     FormatError, InsufficientData, NoGroundTruth, OutOfGrid,
-                     PlacementError, ShapeError, SpecError)
+from .errors import (BadEdges, ConfigError, DecodeError, DegenerateInput,
+                     DivergenceError, FormatError, InsufficientData, NoGroundTruth,
+                     OutOfGrid, PlacementError, ShapeError, SpecError)
 from .losses import (LossBreakdown, attenuated_term, cross_entropy, multi_loss,
                      smooth_l1)
 from .metrics import EvalResult, MatchResult, average_precision, evaluate, match

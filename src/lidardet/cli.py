@@ -21,10 +21,11 @@ from .codec import kmeans_anchor_dims
 from .config import (default_config, load_config, make_infer_config,
                      make_layout, make_range_spec, make_scene_spec,
                      make_train_config)
-from .errors import DegenerateInput
+from .errors import ConfigError, DecodeError, DegenerateInput
 from .metrics import evaluate
-from .model import (build_training_set, gradcheck, infer, load_detections,
-                    load_params, save_detections, save_log, save_params, train)
+from .model import (build_training_set, feature_length, gradcheck, infer,
+                    load_detections, load_params, save_detections, save_log,
+                    save_params, train)
 from .pcio import load_cloud, load_labels, positive_float, write_table
 from .synthgen import generate_scenes, load_scene, save_scene, scene_names
 from .uncstats import (DEFAULT_ANGLE_EDGES, DEFAULT_DISTANCE_EDGES,
@@ -110,6 +111,12 @@ def _cmd_infer(args) -> int:
     spec = make_range_spec(cfg)
     icfg = make_infer_config(cfg)
     params = load_params(args.params)
+    feat_len = feature_length(spec.num_slices, params.pool_blocks)
+    if feat_len != params.dims[0]:
+        raise ConfigError(
+            f"{args.params}: the model takes features of length {params.dims[0]}, but "
+            f"raster.num_slices = {spec.num_slices} gives {feat_len} at its pool_blocks "
+            f"= {params.pool_blocks}; infer needs the raster.* keys it was trained with")
     names, scenes = _load_scenes(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,7 +124,10 @@ def _cmd_infer(args) -> int:
     total = 0
     for name, scene in zip(names, scenes):
         grid = rasterize(scene.cloud, spec)
-        dets = infer(params, grid, icfg, frame_id=scene.cloud.frame_id)
+        try:
+            dets = infer(params, grid, icfg, frame_id=scene.cloud.frame_id)
+        except DecodeError as exc:
+            raise DecodeError(f"{args.params}: {name}: {exc}") from None
         save_detections(dets, out / f"{name}_dets.csv")
         total += len(dets)
         if args.records:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .boxgeom import Box3D, bev_corners, wrap_angle
-from .errors import InsufficientData
+from .errors import DecodeError, InsufficientData
 
 RPN_DIM = 6
 FRH_LOC_DIM = 10
@@ -94,15 +94,23 @@ def decode_rpn(anchor: Box3D, t: np.ndarray) -> Box3D:
     if t.shape != (RPN_DIM,):
         raise ValueError(f"expected shape ({RPN_DIM},), got {t.shape}")
     diag = math.hypot(anchor.l, anchor.w)
-    return Box3D(
-        anchor.cx + float(t[0]) * diag,
-        anchor.cy + float(t[1]) * diag,
-        anchor.cz + float(t[2]) * anchor.h,
-        anchor.l * math.exp(float(t[4])),
-        anchor.w * math.exp(float(t[3])),
-        anchor.h * math.exp(float(t[5])),
-        0.0,
-    )
+    try:
+        l, w, h = (anchor.l * math.exp(float(t[4])), anchor.w * math.exp(float(t[3])),
+                   anchor.h * math.exp(float(t[5])))
+    except OverflowError:
+        raise DecodeError(f"stage-1 size offsets {t[3:].tolist()} overflow exp") from None
+    return _decoded_box("stage-1", anchor.cx + float(t[0]) * diag,
+                        anchor.cy + float(t[1]) * diag, anchor.cz + float(t[2]) * anchor.h,
+                        l, w, h, 0.0)
+
+
+def _decoded_box(what: str, *values: float) -> Box3D:
+    """Box3D(*values), or DecodeError when a value is not finite or a size
+    is not positive, as network output far out of range can make them."""
+    if not (all(map(math.isfinite, values)) and min(values[3:6]) > 0.0):
+        raise DecodeError(f"{what} output decodes to box {values}, "
+                          f"which needs finite values and positive sizes")
+    return Box3D(*values)
 
 
 def encode_frh(roi: Box3D, gt: Box3D):
@@ -152,9 +160,10 @@ def decode_frh(roi: Box3D, t_v: np.ndarray, r_v: np.ndarray) -> Box3D:
     z_bottom = float(t_v[8]) * roi.h
     z_top = float(t_v[9]) * roi.h
     yaw = math.atan2(float(r_v[1]), float(r_v[0]))
-    return Box3D(float(center[0]), float(center[1]), 0.5 * (z_bottom + z_top),
-                 max(float(l), 1e-3), max(float(w), 1e-3),
-                 max(z_top - z_bottom, 1e-3), wrap_angle(yaw))
+    return _decoded_box("stage-2", float(center[0]), float(center[1]),
+                        0.5 * (z_bottom + z_top), max(float(l), 1e-3),
+                        max(float(w), 1e-3), max(z_top - z_bottom, 1e-3),
+                        wrap_angle(yaw))
 
 
 def assign(iou: np.ndarray, pos_threshold: float, neg_threshold: float):

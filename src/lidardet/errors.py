@@ -25,6 +25,11 @@ class InsufficientData(ValueError):
     """Not enough samples for the requested operation."""
 
 
+class DecodeError(ValueError):
+    """Network output decodes to a box with a non-finite field or a size
+    that is not positive."""
+
+
 class PlacementError(RuntimeError):
     """Scene object placement ran out of attempts."""
 

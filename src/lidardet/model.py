@@ -32,6 +32,17 @@ left fold below 8 terms, 8 interleaved partial sums from 8 to 128 terms,
 and two halves summed apart above 128. A different order would move the
 last bits of the features, and with them the pool digests and artifacts
 that refactors are checked against.
+
+``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows,
+the remainder joined to the last block, and keeps only the logits, reg and
+log-variance outputs, 14 floats per anchor; each block's (rows, hidden1)
+temporaries are freed before the next, so its transient memory is bounded
+by STAGE1_CELLS, not by the anchor count. The block is sized in hidden
+activations, not rows, for the bits: OpenBLAS computes a head product
+``hid @ w_head`` whose M*N*K is at most about 1e6 with a small-matrix kernel
+that rounds differently. At 2**20 activations every block's head products
+stay above that size, so the blocked outputs equal one call over all rows
+bit for bit, and fewer than two blocks' rows are that one call.
 """
 
 from __future__ import annotations
@@ -945,11 +956,28 @@ class Detection:
     frame_id: str = ""
 
 
+STAGE1_CELLS = 1 << 20  # hidden activations per stage-1 block in infer (module doc)
+
+
+def _stage1_blocks(p: Stage, x: np.ndarray):
+    """(logits, reg, log_var) of stage1_forward over row blocks of
+    STAGE1_CELLS // hidden1 rows, each block's cache dropped before the next;
+    the remainder joins the last block, so fewer than two blocks' rows are
+    one call."""
+    rows = max(1, STAGE1_CELLS // p.w1.shape[1])
+    blocks = np.split(x, range(rows, len(x) - rows + 1, rows))
+    outs = [stage1_forward(p, block)[:3] for block in blocks]
+    return tuple(np.concatenate(out) for out in zip(*outs))
+
+
 def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
           frame_id: str = "", anchor_feats: Optional[np.ndarray] = None) -> list:
     """Score anchors, keep proposals through NMS, refine with stage 2.
 
     Deterministic: no dropout at inference, stable orderings throughout.
+    Stage 1 runs over row blocks of STAGE1_CELLS hidden activations (see
+    the module doc), which bounds its temporaries whatever the anchor
+    count and keeps the bits of one call over all anchors.
     anchor_feats, when given, must be anchor_features() for this grid and
     the model's layout; it skips the dominant recomputation when several
     parameter sets are scored on one grid.
@@ -959,7 +987,7 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     aset = build_anchor_set(layout, grid.spec)
     x = anchor_feats if anchor_feats is not None else anchor_features(
         grid, aset, pool_blocks)
-    logits, reg, lv, _ = stage1_forward(params.stage1, x)
+    logits, reg, lv = _stage1_blocks(params.stage1, x)
     scores = softmax(logits)[:, 1]
     order = np.argsort(-scores, kind="stable")[:icfg.pre_nms_top]
     proposals = [decode_rpn(aset.box(int(i)), reg[i]) for i in order]

@@ -16,7 +16,8 @@ from lidardet.config import (DEFAULTS, default_config, load_config,
                              make_infer_config, make_layout, make_range_spec,
                              make_scene_spec, make_train_config, parse_config)
 from lidardet.errors import ConfigError
-from lidardet.model import (Detection, InferConfig, TrainConfig, load_detections,
+from lidardet.model import (Detection, InferConfig, TrainConfig, feature_length,
+                            load_detections, load_params, named_arrays,
                             save_detections)
 from lidardet.pcio import Difficulty, GroundTruthObject, ObjectClass, save_labels
 from lidardet.uncstats import UncertaintyRecord, load_records, save_records
@@ -222,6 +223,23 @@ class TestBoundaries:
                     "--config", str(cfg)])
         assert code == 1
         assert line.split(".")[1].split(" ")[0] in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("slices, height", [(4, 0.625), (10, 0.25)])
+    def test_slice_count_other_than_the_models(self, workspace, tmp_path, capsys,
+                                               slices, height):
+        cfg = tmp_path / "slices.cfg"
+        cfg.write_text(CONFIG_TEXT + f"raster.num_slices = {slices}\n"
+                       f"raster.slice_height = {height}\n")
+        code = run(["infer", "--params", str(workspace["params"]),
+                    "--data", str(workspace["scenes"]), "--out", str(tmp_path / "dets"),
+                    "--config", str(cfg)])
+        assert code == 1
+        err = self._one_line_error(capsys)
+        want = feature_length(slices, 2)
+        for part in (str(workspace["params"]), f"length {feature_length(5, 2)}",
+                     f"gives {want}", "raster.num_slices", "raster.*"):
+            assert part in err, (part, err)
+        assert not (tmp_path / "dets").exists()
 
     @pytest.mark.parametrize("line", ["train.learning_rate = nan", "train.beta1 = inf"])
     def test_non_finite_train_config(self, workspace, tmp_path, capsys, line):
@@ -604,18 +622,20 @@ class TestConfig:
 
 class TestBitFlipFuzz:
     """Seeded truncations and single-bit flips of a saved cloud, a labels
-    file and a detections CSV, each run through the command that reads it:
-    every run ends in exit 0, or in exit 1 with one ``error:`` line that
-    names the damaged file. An escaping exception (a traceback at the
-    command line) fails the test."""
+    file, a detections CSV and a parameters blob, each run through the
+    command that reads it: every run ends in exit 0, or in exit 1 with one
+    ``error:`` line that names the damaged file. An escaping exception (a
+    traceback at the command line) fails the test."""
 
     CUTS, FLIPS = 16, 64
 
-    def _fuzz(self, capsys, path, argv, seed):
+    def _fuzz(self, capsys, path, argv, seed, bits=()):
+        """``bits``: more bit positions to flip, one at a time, after the
+        seeded ones."""
         data = path.read_bytes()
         rng = np.random.default_rng(seed)
         variants = [data[:cut] for cut in rng.integers(0, len(data), self.CUTS)]
-        for bit in rng.choice(8 * len(data), self.FLIPS, replace=False):
+        for bit in [*rng.choice(8 * len(data), self.FLIPS, replace=False), *bits]:
             flipped = bytearray(data)
             flipped[bit // 8] ^= 1 << (bit % 8)
             variants.append(bytes(flipped))
@@ -643,3 +663,17 @@ class TestBitFlipFuzz:
 
     def test_detections_through_eval(self, tmp_path, capsys):
         self._fuzz(capsys, *eval_inputs(tmp_path, small_dets()), 23)
+
+    def test_params_through_infer(self, workspace, tmp_path, capsys):
+        params = tmp_path / "m.bin"
+        shutil.copy(workspace["params"], params)
+        floats = sum(a.size for _, a in named_arrays(load_params(params)))
+        body = params.stat().st_size - 4 * floats
+        # Flipping a float32's top exponent bit (bit 6 of its last byte)
+        # scales a value below 2 in size by 2**128: weights that large
+        # overflow the decoders' exp or give non-finite boxes.
+        rng = np.random.default_rng(25)
+        tops = [8 * (body + 4 * int(i) + 3) + 6 for i in rng.choice(floats, 20, replace=False)]
+        argv = ["infer", "--params", str(params), "--data", str(workspace["scenes"]),
+                "--out", str(tmp_path / "dets"), "--config", str(workspace["cfg"])]
+        self._fuzz(capsys, params, argv, 24, tops)

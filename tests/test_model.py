@@ -15,7 +15,7 @@ from lidardet.boxgeom import Box3D, aa_envelope
 from lidardet.codec import assign, encode_rpn
 from lidardet.errors import FormatError, OutOfGrid, ShapeError
 from lidardet.losses import LOSS_STAGES, LossBreakdown
-from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE2_HEADS,
+from lidardet.model import (LV_CLIP, STAGE1_CELLS, STAGE1_HEADS, STAGE2_HEADS,
                             AnchorLayout, Detection, InferConfig,
                             ModelParams, StepBatch, TrainConfig,
                             adam_step, anchor_features, apply_label_noise,
@@ -27,9 +27,9 @@ from lidardet.model import (LV_CLIP, STAGE1_HEADS, STAGE2_HEADS,
                             save_detections, save_params, stage1_backward,
                             stage1_forward, stage2_backward, stage2_forward,
                             train)
-from lidardet.model import _block_spans, _pool_stats, _reduce_blocks
+from lidardet.model import _block_spans, _pool_stats, _reduce_blocks, _stage1_blocks
 from lidardet.pcio import PointCloud
-from lidardet.synthgen import SceneSpec, generate_scenes
+from lidardet.synthgen import DEFAULT_SCENE_RANGE, SceneSpec, generate_scenes
 
 SMALL = RangeSpec(0.0, 16.0, -8.0, 8.0, 0.0, 2.5, 0.5, 5, 0.5)
 # an LDET v1 blob (feature length 8, hidden widths 3 and 2, every array
@@ -913,6 +913,50 @@ class TestInference:
     def test_score_min_one_returns_no_detections(self):
         _, params, grid = self._setup()
         assert infer(params, grid, InferConfig(score_min=1.0)) == []
+
+
+class TestStage1Blocks:
+    @pytest.mark.parametrize("hidden1", [16, 64, 256])
+    def test_blocks_equal_one_call_bit_for_bit(self, hidden1):
+        rng = np.random.default_rng(hidden1)
+        stage = init_params(TrainConfig(hidden1=hidden1, hidden2=4), 24,
+                            LAYOUT_SMOKE).stage1
+        for w in [stage.w1, *(getattr(stage, f"w_{head}") for head, _, _ in stage.heads)]:
+            w += rng.normal(0.0, 0.3, w.shape)
+        rows = STAGE1_CELLS // hidden1
+        for n in (rows - 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, 3 * rows + 5):
+            x = rng.normal(size=(n, 24))
+            want = stage1_forward(stage, x)[:3]
+            got = _stage1_blocks(stage, x)
+            assert len(got) == 3
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_infer_peak_memory_is_bounded_by_the_block_budget(self):
+        # hidden1 = 256 gives 4,096-row blocks: the 14,000 anchors of the
+        # default range are three blocks, the last 5,808 rows. The largest
+        # block holds under 2 * STAGE1_CELLS activations, so its pre and hid
+        # arrays take under 4 * STAGE1_CELLS floats; one call over all rows
+        # takes 2 * 14,000 * 256.
+        rng = np.random.default_rng(5)
+        n = 20000
+        pts = np.column_stack([rng.uniform(0, 56, n), rng.uniform(-20, 20, n),
+                               rng.uniform(0, 2.5, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), DEFAULT_SCENE_RANGE)
+        layout = AnchorLayout(shapes=((3.9, 1.6, 1.5), (4.6, 1.9, 1.6)))
+        params = init_params(TrainConfig(hidden1=256, hidden2=16),
+                             feature_length(DEFAULT_SCENE_RANGE.num_slices, 3), layout)
+        aset = build_anchor_set(layout, DEFAULT_SCENE_RANGE)
+        assert len(aset) == 14000
+        feats = anchor_features(grid, aset, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            infer(params, grid, anchor_feats=feats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * STAGE1_CELLS
 
 
 class TestDetectionIO:
