@@ -9,8 +9,12 @@
 # trains with `train.hidden1 = 256` appended (model_h256.bin, 4,096 rows per
 # stage-1 block) and runs infer with that model on a 192 x 192-cell raster at
 # quick.cfg's resolution and slices (dets_h256/: 9,216 anchors, two stage-1
-# blocks), so that a multi-block stage 1 is compared. Each side
-# also writes pools.sha256: one sha256 of the build_training_set packs per
+# blocks), so that a multi-block stage 1 is compared. Each side also runs
+# infer with model.bin on a raster whose height range is shifted to
+# `raster.z_min = -0.3`, `raster.z_max = 2.2` (dets_zmin/), where the mean of
+# the empty-cell sentinels in a pooling block need not be z_min exactly, so
+# that the shared feature row of point-free anchor windows is compared.
+# Each side also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
 #
@@ -50,6 +54,8 @@ pipeline() {  # <source tree> <output dir>
     { cat "$tmp/quick.cfg"; echo "train.hidden1 = 256"; } > "$out/h256.cfg"
     { cat "$out/h256.cfg"; echo "raster.x_max = 96.0"; echo "raster.y_min = -48.0"
       echo "raster.y_max = 48.0"; } > "$out/h256_wide.cfg"
+    { cat "$tmp/quick.cfg"; echo "raster.z_min = -0.3"; echo "raster.z_max = 2.2"; } \
+        > "$out/zmin.cfg"
     (
         cd "$out"
         ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
@@ -63,6 +69,7 @@ pipeline() {  # <source tree> <output dir>
             --records records.csv
         ldet infer --params model_h256.bin --data scenes --out dets_h256 \
             --config h256_wide.cfg
+        ldet infer --params model.bin --data scenes --out dets_zmin --config zmin.cfg
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
         for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \
                 rpn-vs-frh loc-vs-orient; do

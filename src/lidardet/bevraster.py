@@ -145,9 +145,11 @@ def read_grid(path):
         body = fh.read()
     if len(body) != 4 * H * W * C:
         raise FormatError(f"{path}: expected {H * W * C} values, got {len(body)} bytes")
-    stacked = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(H, W, C)
-    if not np.isfinite(stacked).all():
+    # checked before the cast, which warns on a signalling nan
+    values = np.frombuffer(body, dtype="<f4")
+    if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite value in grid")
+    stacked = values.astype(np.float64).reshape(H, W, C)
     meta = {"version": version, "rows": H, "cols": W, "channels": C,
             "resolution": float(res), "x_min": float(x_min), "y_min": float(y_min)}
     return stacked[:, :, :-1], stacked[:, :, -1], meta

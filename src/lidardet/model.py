@@ -33,6 +33,15 @@ and two halves summed apart above 128. A different order would move the
 last bits of the features, and with them the pool digests and artifacts
 that refactors are checked against.
 
+``anchor_features`` pools only the anchors whose clipped window holds an
+occupied cell: one whose density is not 0 or whose heights are not all the
+``z_min`` sentinel. A window of blank cells pools to a row that depends only
+on (shape, bin, clipped window size), so each such key's row is computed
+once, by ``featurize``, and gathered to its anchors. Synthesized scenes hold
+car points only, so 6-10% of anchor windows are occupied; as in PointPillars
+and VoxelNet, which encode only non-empty pillars or voxels, the empty rest
+costs almost nothing, and here the scatter back is exact.
+
 ``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows,
 the remainder joined to the last block, and keeps only the logits, reg and
 log-variance outputs, 14 floats per anchor; each block's (rows, hidden1)
@@ -274,36 +283,85 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
         l=np.concatenate(ll), w=np.concatenate(ww), h=np.concatenate(hh))
 
 
+def _clipped_windows(grid: BevGrid, r0, r1, c0, c1):
+    """Row and column counts of the windows ``[r0, r1] x [c0, c1]`` clipped to
+    the grid, and the number of occupied cells in each. A cell is blank when
+    its density is 0 and every height is the ``z_min`` sentinel, compared as
+    bits, so a -0.0 is never a blank 0.0. The counts are exact: they come from
+    an int64 prefix sum of the occupied cells, padded by a zero row and column."""
+    spec = grid.spec
+    density, heights = (np.asarray(a, dtype=np.float64).view(np.uint64)
+                        for a in (grid.density, grid.heights))
+    sentinel = np.float64(spec.z_min).view(np.uint64)
+    occupied = density != 0
+    for k in range(heights.shape[-1]):  # a slice at a time: 2x faster than any(axis=-1)
+        occupied |= heights[..., k] != sentinel
+    prefix = np.zeros((spec.n_rows + 1, spec.n_cols + 1), dtype=np.int64)
+    prefix[1:, 1:] = occupied
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.cumsum(prefix, axis=1, out=prefix)
+    a0, a1 = np.clip(r0, 0, spec.n_rows), np.clip(r1 + 1, 0, spec.n_rows)
+    b0, b1 = np.clip(c0, 0, spec.n_cols), np.clip(c1 + 1, 0, spec.n_cols)
+    a1, b1 = np.maximum(a1, a0), np.maximum(b1, b0)
+    count = prefix[a1, b1] - prefix[a0, b1] - prefix[a1, b0] + prefix[a0, b0]
+    return (a1 - a0, b1 - b0), count
+
+
 def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.ndarray:
     """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
 
-    Inner anchors are pooled one group of one shape, bin and window size at a
-    time, in chunks of window start rows. The row pass reduces each distinct
-    row block once across the chunk's columns; the column pass reduces each
-    distinct column block of that strip, transposed to (column, row block,
-    channel), for all of the chunk's row blocks at once. Both passes run
-    ``_reduce_blocks``, which adds in reduceat's order (first cell plus the
-    pairwise sum of the rest), so inner rows equal ``featurize`` bit for bit.
-    Border anchors go through ``featurize``."""
+    Only anchors whose clipped window holds an occupied cell are pooled. A
+    cell is blank when its density is 0 and every height is the ``z_min``
+    sentinel, both compared bit for bit; an int64 prefix sum of the occupied
+    cells gives each window's exact occupied-cell count. A window of blank
+    cells pools to a row that depends only on (shape, bin, clipped window
+    size), so each such key's row is computed once, by ``featurize`` on its
+    first anchor, and one gather copies it to all of the key's anchors. The
+    row is not assumed to be the sentinel: at ``z_min != 0`` the mean of n
+    sentinels need not be ``z_min`` exactly. A dense cloud, with every window
+    occupied, takes the path below at its old cost.
+
+    Occupied inner anchors are pooled one group of one shape, bin and window
+    size at a time, in chunks of window start rows. The row pass reduces each
+    distinct row block once across the chunk's columns; the column pass
+    reduces each distinct column block of that strip, transposed to (column,
+    row block, channel), for all of the chunk's row blocks at once. Both
+    passes run ``_reduce_blocks``, which adds in reduceat's order (first cell
+    plus the pairwise sum of the rest), so inner rows equal ``featurize`` bit
+    for bit. Occupied border anchors go through ``featurize``."""
     spec = grid.spec
     res = spec.xy_resolution
     r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
     c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
     inner = ((0 <= r0) & (r0 <= r1) & (r1 < spec.n_rows)
              & (0 <= c0) & (c0 <= c1) & (c1 < spec.n_cols))
+    sizes, count = _clipped_windows(grid, r0, r1, c0, c1)
+    # one int per (shape, bin, clipped window size), 50x faster than np.unique(axis=0)
+    dims = (len(aset.layout.shapes), 2, spec.n_rows + 1, spec.n_cols + 1)
+    keys = np.ravel_multi_index((aset.shape_idx, aset.bin90, *sizes), dims)
+    # a window with no cell center on the grid goes to featurize, which zeroes
+    # or rejects it
+    blank = (count == 0) & (sizes[0] > 0) & (sizes[1] > 0)
+    del sizes, count
     feat = np.empty((len(aset), feature_length(spec.num_slices, pool_blocks)))
+    if blank.any():
+        _, first, at = np.unique(keys[blank], return_index=True, return_inverse=True)
+        table = np.stack([featurize(grid, aset.box(int(i)), pool_blocks)
+                          for i in np.flatnonzero(blank)[first]])
+        slot = np.zeros(len(aset), dtype=np.intp)
+        slot[blank] = at
+        # one gather straight into feat; the other rows are overwritten below
+        np.take(table, slot, axis=0, out=feat, mode="clip")
+        del slot, at
     feat[:, -FEAT_GEOM:] = np.column_stack([aset.l, aset.w, aset.h,
                                             np.full(len(aset), aset.layout.z_center)])
+    inner &= ~blank
     stack = np.concatenate([grid.heights, grid.density[..., None]], axis=-1)
-    # one int per (shape, bin, window size), 50x faster than np.unique(axis=0)
-    dims = (len(aset.layout.shapes), 2, spec.n_rows, spec.n_cols)
-    keys = np.ravel_multi_index((aset.shape_idx, aset.bin90, r1 - r0, c1 - c0), dims,
-                                mode="clip")
     for key in np.unique(keys[inner]):
         sel = np.flatnonzero(inner & (keys == key))
-        _, _, last_r, last_c = np.unravel_index(key, dims)
-        (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n + 1, pool_blocks))
-                                        for n in (last_r, last_c))
+        _, _, n_r, n_c = np.unravel_index(key, dims)
+        (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n, pool_blocks))
+                                        for n in (n_r, n_c))
         # chunks of window start rows whose row-block table holds <= SLAB_CELLS floats
         sel = sel[np.argsort(r0[sel], kind="stable")]
         firsts = np.unique(r0[sel], return_index=True)[1]
@@ -322,7 +380,7 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
                 del strip, table  # peak memory: one strip and one block table at a time
             feat[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
                                                      spec.z_min)
-    for i in np.flatnonzero(~inner):
+    for i in np.flatnonzero(~blank & ~inner):
         feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
     return feat
 
@@ -979,7 +1037,7 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     the module doc), which bounds its temporaries whatever the anchor
     count and keeps the bits of one call over all anchors.
     anchor_feats, when given, must be anchor_features() for this grid and
-    the model's layout; it skips the dominant recomputation when several
+    the model's layout; it skips featurizing the grid again when several
     parameter sets are scored on one grid.
     """
     layout = params.layout()

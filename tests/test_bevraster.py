@@ -175,6 +175,36 @@ class TestGridFile:
             with pytest.raises(FormatError):
                 read_grid(path)
 
+    def test_seeded_truncations_and_bit_flips(self, tmp_path):
+        # each damaged blob raises FormatError or reads back as finite arrays
+        # of the shape its header states
+        path = tmp_path / "g.bin"
+        write_grid(rasterize(_cloud(np.random.default_rng(6), 1500, SMALL), SMALL), path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(26)
+        variants = [blob[:cut] for cut in rng.integers(0, len(blob), 16)]
+        # and the top exponent bit (bit 6 of the last byte) of eight values in
+        # [1, 2), which turns each into an inf or a nan
+        body = np.frombuffer(blob[32:], dtype="<f4")
+        ones = rng.choice(np.flatnonzero((body >= 1.0) & (body < 2.0)), 8, replace=False)
+        tops = [8 * (32 + 4 * int(i) + 3) + 6 for i in ones]
+        for bit in [*rng.choice(8 * len(blob), 128, replace=False), *tops]:
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        rejected = 0
+        for damaged in variants:
+            path.write_bytes(damaged)
+            try:
+                heights, density, meta = read_grid(path)
+            except FormatError:
+                rejected += 1
+                continue
+            assert np.isfinite(heights).all() and np.isfinite(density).all()
+            assert heights.shape == (meta["rows"], meta["cols"], meta["channels"] - 1)
+            assert density.shape == (meta["rows"], meta["cols"])
+        assert rejected >= 16 + len(tops)
+
     def test_spec_validation(self):
         with pytest.raises(SpecError):
             RangeSpec(0.0, 7.03, -4.0, 4.0, 0.0, 2.5, 0.5, 5, 0.5)

@@ -622,10 +622,11 @@ class TestConfig:
 
 class TestBitFlipFuzz:
     """Seeded truncations and single-bit flips of a saved cloud, a labels
-    file, a detections CSV and a parameters blob, each run through the
-    command that reads it: every run ends in exit 0, or in exit 1 with one
-    ``error:`` line that names the damaged file. An escaping exception (a
-    traceback at the command line) fails the test."""
+    file, a detections CSV, a records CSV, a scene-noise CSV and a
+    parameters blob, each run through the command that reads it: every run
+    ends in exit 0, or in exit 1 with one ``error:`` line that names the
+    damaged file. An escaping exception (a traceback at the command line)
+    fails the test."""
 
     CUTS, FLIPS = 16, 64
 
@@ -663,6 +664,12 @@ class TestBitFlipFuzz:
 
     def test_detections_through_eval(self, tmp_path, capsys):
         self._fuzz(capsys, *eval_inputs(tmp_path, small_dets()), 23)
+
+    def test_records_through_analyze(self, tmp_path, capsys):
+        self._fuzz(capsys, *analyze_inputs(tmp_path, small_records()), 26)
+
+    def test_scene_noise_through_train(self, workspace, tmp_path, capsys):
+        self._fuzz(capsys, *train_inputs(workspace, tmp_path), 27)
 
     def test_params_through_infer(self, workspace, tmp_path, capsys):
         params = tmp_path / "m.bin"

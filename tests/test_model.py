@@ -319,6 +319,98 @@ class TestAnchors:
             AnchorLayout(shapes=((4, 2, 1.5),), z_center=math.nan)
 
 
+def assert_rows_bitwise(grid, aset, blocks=3, idx=None):
+    """anchor_features rows (at idx, or all) equal a stack of featurize rows
+    bit for bit, compared as uint64 views so signed zeros count."""
+    feats = anchor_features(grid, aset, blocks)
+    idx = range(len(aset)) if idx is None else idx
+    want = np.stack([featurize(grid, aset.box(int(i)), blocks) for i in idx])
+    np.testing.assert_array_equal(feats[list(idx)].view(np.uint64), want.view(np.uint64))
+    return feats
+
+
+class TestBlankWindows:
+    """Anchors whose clipped window holds no occupied cell take one row per
+    (shape, bin, clipped window size); every case below runs at z_min != 0,
+    where the mean of n sentinels need not be z_min exactly."""
+
+    SPEC = RangeSpec(0.0, 16.0, -8.0, 8.0, -0.3, 2.2, 0.25, 5, 0.5)
+    LAYOUT = AnchorLayout(shapes=((4.2, 1.8, 1.6), (3.4, 1.6, 1.4)), stride=3)
+    # detect_full's scene law (perfbench/workloads.py: FULL_SCENE)
+    FULL = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.1, 5, 0.5)
+    FULL_SCENE = dict(num_cars=24, x_min=4.0, x_max=66.0, y_min=-36.0, y_max=36.0,
+                      point_budget=1000, density_exponent=1.2)
+
+    def blank_grid(self):
+        spec = self.SPEC
+        return BevGrid(np.full((spec.n_rows, spec.n_cols, spec.num_slices), spec.z_min),
+                       np.zeros((spec.n_rows, spec.n_cols)), spec)
+
+    def test_detect_full_scene_law_frames(self):
+        # the benchmark's range, then the same frame at z_min = -0.3
+        for z_min, z_max in ((0.0, 2.5), (-0.3, 2.2)):
+            spec = replace(self.FULL, z_min=z_min, z_max=z_max)
+            scene = generate_scenes(SceneSpec(seed=301, range_spec=spec, **self.FULL_SCENE),
+                                    1)[0]
+            grid = rasterize(scene.cloud, spec)
+            aset = build_anchor_set(AnchorLayout(shapes=((3.9, 1.6, 1.5), (4.6, 1.9, 1.6))),
+                                    spec)
+            # featurize over all 140,000 anchors takes seconds: a seeded sample,
+            # with the first and last lattice rows (border windows) in full
+            rng = np.random.default_rng(301)
+            edge = np.flatnonzero((aset.rows == aset.rows.min())
+                                  | (aset.rows == aset.rows.max()))
+            idx = np.union1d(rng.choice(len(aset), 2500, replace=False), edge)
+            assert_rows_bitwise(grid, aset, 3, idx)
+
+    def test_dense_cloud_next_to_blank_windows(self):
+        # uniform points over the near 10 m: nearly every cell there is
+        # occupied, and the far windows are blank
+        spec, rng, n = self.SPEC, np.random.default_rng(31), 20000
+        pts = np.column_stack([rng.uniform(0.0, 10.0, n), rng.uniform(-8.0, 8.0, n),
+                               rng.uniform(-0.3, 2.2, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        assert (grid.density[:40] > 0).mean() > 0.9
+        for blocks in (2, 3):
+            assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, spec), blocks)
+
+    @pytest.mark.parametrize("height, density", [(1.0, 0.0), (-0.3 + 1e-12, 0.0),
+                                                 (-0.3, -0.0)])
+    def test_hand_built_cells_that_only_look_blank(self, height, density):
+        # a real height under zero density, or a -0.0 density under sentinel
+        # heights, marks its cell occupied
+        grid = self.blank_grid()
+        grid.heights[10:16, 20:26, 2] = height
+        grid.density[10:16, 20:26] = density
+        grid.heights[40, 3, 0] = height
+        grid.density[40, 3] = density
+        assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, self.SPEC))
+
+    def test_point_exactly_at_z_min_is_occupied(self):
+        spec = self.SPEC
+        pts = np.array([[5.1, 0.3, spec.z_min, 0.5], [12.6, -7.9, spec.z_min, 0.5]])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        assert (grid.heights == spec.z_min).all() and grid.density.sum() > 0
+        assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, spec))
+
+    def test_empty_cloud(self):
+        grid = rasterize(PointCloud(np.zeros((0, 4)), "t"), self.SPEC)
+        feats = assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, self.SPEC))
+        # the mean of n sentinels is not z_min for every block length
+        assert (feats[:, :-4] != self.SPEC.z_min).any()
+
+    def test_shuffled_subset_pools_as_the_whole_set(self):
+        spec = self.SPEC
+        scene = generate_scenes(SceneSpec(seed=12, num_cars=3, x_min=2.0, x_max=14.0,
+                                          y_min=-6.0, y_max=6.0, range_spec=spec), 1)[0]
+        grid = rasterize(scene.cloud, spec)
+        aset = build_anchor_set(self.LAYOUT, spec)
+        idx = np.random.default_rng(12).permutation(len(aset))[:400]
+        feats = assert_rows_bitwise(grid, aset.take(idx))
+        np.testing.assert_array_equal(feats.view(np.uint64),
+                                      anchor_features(grid, aset, 3)[idx].view(np.uint64))
+
+
 class TestForwardBackward:
     def _params(self, seed=0):
         cfg = TrainConfig(seed=seed, hidden1=8, hidden2=9)
