@@ -14,6 +14,11 @@
 # `raster.z_min = -0.3`, `raster.z_max = 2.2` (dets_zmin/), where the mean of
 # the empty-cell sentinels in a pooling block need not be z_min exactly, so
 # that the shared feature row of point-free anchor windows is compared.
+# Each side also runs infer with model.bin on a raster cut to
+# `raster.x_min = 6.0`, `raster.x_max = 20.0`, `raster.y_min = -8.0`,
+# `raster.y_max = 8.0` (dets_edges/), whose edges cut the scenes' cars on all
+# four sides, so that anchor windows clipped by the grid and holding points
+# are compared: 224 of them over the 20 scenes, against 5 on quick.cfg's raster.
 # Each side also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
@@ -56,6 +61,8 @@ pipeline() {  # <source tree> <output dir>
       echo "raster.y_max = 48.0"; } > "$out/h256_wide.cfg"
     { cat "$tmp/quick.cfg"; echo "raster.z_min = -0.3"; echo "raster.z_max = 2.2"; } \
         > "$out/zmin.cfg"
+    { cat "$tmp/quick.cfg"; echo "raster.x_min = 6.0"; echo "raster.x_max = 20.0"
+      echo "raster.y_min = -8.0"; echo "raster.y_max = 8.0"; } > "$out/edges.cfg"
     (
         cd "$out"
         ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
@@ -70,6 +77,7 @@ pipeline() {  # <source tree> <output dir>
         ldet infer --params model_h256.bin --data scenes --out dets_h256 \
             --config h256_wide.cfg
         ldet infer --params model.bin --data scenes --out dets_zmin --config zmin.cfg
+        ldet infer --params model.bin --data scenes --out dets_edges --config edges.cfg
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
         for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \
                 rpn-vs-frh loc-vs-orient; do

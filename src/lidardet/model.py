@@ -33,14 +33,15 @@ and two halves summed apart above 128. A different order would move the
 last bits of the features, and with them the pool digests and artifacts
 that refactors are checked against.
 
-``anchor_features`` pools only the anchors whose clipped window holds an
-occupied cell: one whose density is not 0 or whose heights are not all the
-``z_min`` sentinel. A window of blank cells pools to a row that depends only
-on (shape, bin, clipped window size), so each such key's row is computed
-once, by ``featurize``, and gathered to its anchors. Synthesized scenes hold
-car points only, so 6-10% of anchor windows are occupied; as in PointPillars
-and VoxelNet, which encode only non-empty pillars or voxels, the empty rest
-costs almost nothing, and here the scatter back is exact.
+``anchor_features`` sorts the anchor windows, clipped to the grid, into two
+kinds. An occupied window holds a cell whose density is not 0 or whose
+heights are not all the ``z_min`` sentinel; it is pooled on the slabs from
+its clipped start, at the border as inside. A blank window pools to a row
+that depends only on its clipped (rows, cols) size, so each size's row is
+computed once, by ``featurize``, and gathered to its anchors. Synthesized
+scenes hold car points only, so 6-10% of anchor windows are occupied; as in
+PointPillars and VoxelNet, which encode only non-empty pillars or voxels,
+the empty rest costs almost nothing, and here the scatter back is exact.
 
 ``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows,
 the remainder joined to the last block, and keeps only the logits, reg and
@@ -225,16 +226,14 @@ class AnchorSet:
     """Materialized lattice: parallel arrays over all anchors.
 
     Extents are already swapped for the 90-degree bin, so every anchor is
-    a yaw-free box. Order is shape-major, then orientation bin, then
-    row-major lattice position.
+    a yaw-free box. Order is shape-major, then orientation bin (unswapped
+    first), then row-major lattice position.
     """
 
     spec: RangeSpec
     layout: AnchorLayout
     rows: np.ndarray
     cols: np.ndarray
-    shape_idx: np.ndarray
-    bin90: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
     l: np.ndarray
@@ -261,34 +260,24 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
     if not (len(lat_rows) and len(lat_cols)):
         raise ValueError(f"anchor stride {layout.stride} places no anchor on the "
                          f"{spec.n_rows}x{spec.n_cols}-cell grid")
-    rr = np.repeat(lat_rows, len(lat_cols))
-    cc = np.tile(lat_cols, len(lat_rows))
-    rows, cols, sidx, b90, ll, ww, hh = [], [], [], [], [], [], []
-    for s, (sl, sw, sh) in enumerate(layout.shapes):
-        for swap in (False, True):
-            rows.append(rr)
-            cols.append(cc)
-            sidx.append(np.full(len(rr), s, dtype=np.int64))
-            b90.append(np.full(len(rr), swap))
-            ll.append(np.full(len(rr), sw if swap else sl))
-            ww.append(np.full(len(rr), sl if swap else sw))
-            hh.append(np.full(len(rr), sh))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    return AnchorSet(
-        spec=spec, layout=layout, rows=rows, cols=cols,
-        shape_idx=np.concatenate(sidx), bin90=np.concatenate(b90),
-        cx=spec.x_min + (rows + 0.5) * spec.xy_resolution,
-        cy=spec.y_min + (cols + 0.5) * spec.xy_resolution,
-        l=np.concatenate(ll), w=np.concatenate(ww), h=np.concatenate(hh))
+    # one (l, w, h) per shape and bin, the 90-degree bin with l and w swapped
+    dims = np.array([d for sl, sw, sh in layout.shapes
+                     for d in ((sl, sw, sh), (sw, sl, sh))], dtype=np.float64)
+    rows = np.tile(np.repeat(lat_rows, len(lat_cols)), len(dims))
+    cols = np.tile(lat_cols, len(lat_rows) * len(dims))
+    l, w, h = np.repeat(dims.T, len(rows) // len(dims), axis=1)
+    return AnchorSet(spec=spec, layout=layout, rows=rows, cols=cols,
+                     cx=spec.x_min + (rows + 0.5) * spec.xy_resolution,
+                     cy=spec.y_min + (cols + 0.5) * spec.xy_resolution, l=l, w=w, h=h)
 
 
 def _clipped_windows(grid: BevGrid, r0, r1, c0, c1):
-    """Row and column counts of the windows ``[r0, r1] x [c0, c1]`` clipped to
-    the grid, and the number of occupied cells in each. A cell is blank when
-    its density is 0 and every height is the ``z_min`` sentinel, compared as
-    bits, so a -0.0 is never a blank 0.0. The counts are exact: they come from
-    an int64 prefix sum of the occupied cells, padded by a zero row and column."""
+    """The windows ``[r0, r1] x [c0, c1]`` clipped to the grid: their first row
+    and column, their row and column counts, and the number of occupied cells
+    in each. A cell is blank when its density is 0 and every height is the
+    ``z_min`` sentinel, compared as bits, so a -0.0 is never a blank 0.0. The
+    counts are exact: they come from an int64 prefix sum of the occupied
+    cells, padded by a zero row and column."""
     spec = grid.spec
     density, heights = (np.asarray(a, dtype=np.float64).view(np.uint64)
                         for a in (grid.density, grid.heights))
@@ -304,45 +293,44 @@ def _clipped_windows(grid: BevGrid, r0, r1, c0, c1):
     b0, b1 = np.clip(c0, 0, spec.n_cols), np.clip(c1 + 1, 0, spec.n_cols)
     a1, b1 = np.maximum(a1, a0), np.maximum(b1, b0)
     count = prefix[a1, b1] - prefix[a0, b1] - prefix[a1, b0] + prefix[a0, b0]
-    return (a1 - a0, b1 - b0), count
+    return (a0, b0), (a1 - a0, b1 - b0), count
 
 
 def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.ndarray:
     """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
 
-    Only anchors whose clipped window holds an occupied cell are pooled. A
+    Every anchor window, clipped to the grid, is one of two kinds, and both
+    kinds are grouped by the clipped (rows, cols) size alone; the geometry
+    columns are written apart, so a pooled row depends only on its window. A
+    lattice anchor's window holds its own center cell, so no size is 0. A
     cell is blank when its density is 0 and every height is the ``z_min``
     sentinel, both compared bit for bit; an int64 prefix sum of the occupied
-    cells gives each window's exact occupied-cell count. A window of blank
-    cells pools to a row that depends only on (shape, bin, clipped window
-    size), so each such key's row is computed once, by ``featurize`` on its
-    first anchor, and one gather copies it to all of the key's anchors. The
-    row is not assumed to be the sentinel: at ``z_min != 0`` the mean of n
-    sentinels need not be ``z_min`` exactly. A dense cloud, with every window
-    occupied, takes the path below at its old cost.
+    cells gives each window's exact occupied-cell count.
 
-    Occupied inner anchors are pooled one group of one shape, bin and window
-    size at a time, in chunks of window start rows. The row pass reduces each
-    distinct row block once across the chunk's columns; the column pass
-    reduces each distinct column block of that strip, transposed to (column,
-    row block, channel), for all of the chunk's row blocks at once. Both
-    passes run ``_reduce_blocks``, which adds in reduceat's order (first cell
-    plus the pairwise sum of the rest), so inner rows equal ``featurize`` bit
-    for bit. Occupied border anchors go through ``featurize``."""
+    A blank window, one with no occupied cell, pools to a row that depends only
+    on its size, so each size's row is computed once, by ``featurize`` on its
+    first anchor, and one gather copies it to all of the size's blank anchors.
+    The row is not assumed to be the sentinel: at ``z_min != 0`` the mean of n
+    sentinels need not be ``z_min`` exactly.
+
+    Occupied windows, border windows included, are pooled from their clipped
+    start, one size at a time, in chunks of window start rows. The row pass
+    reduces each distinct row block once across the chunk's columns; the
+    column pass reduces each distinct column block of that strip, transposed
+    to (column, row block, channel), for all of the chunk's row blocks at once.
+    Both passes run ``_reduce_blocks``, which adds in reduceat's order (first
+    cell plus the pairwise sum of the rest), so these rows equal ``featurize``
+    bit for bit. A dense cloud, with every window occupied, takes this path
+    for every anchor."""
     spec = grid.spec
     res = spec.xy_resolution
     r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
     c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
-    inner = ((0 <= r0) & (r0 <= r1) & (r1 < spec.n_rows)
-             & (0 <= c0) & (c0 <= c1) & (c1 < spec.n_cols))
-    sizes, count = _clipped_windows(grid, r0, r1, c0, c1)
-    # one int per (shape, bin, clipped window size), 50x faster than np.unique(axis=0)
-    dims = (len(aset.layout.shapes), 2, spec.n_rows + 1, spec.n_cols + 1)
-    keys = np.ravel_multi_index((aset.shape_idx, aset.bin90, *sizes), dims)
-    # a window with no cell center on the grid goes to featurize, which zeroes
-    # or rejects it
-    blank = (count == 0) & (sizes[0] > 0) & (sizes[1] > 0)
-    del sizes, count
+    (r0, c0), (n_rs, n_cs), count = _clipped_windows(grid, r0, r1, c0, c1)
+    # one int per clipped window size, 50x faster than np.unique(axis=0)
+    keys = n_rs * (spec.n_cols + 1) + n_cs
+    blank = count == 0
+    del r1, c1, n_rs, n_cs, count
     feat = np.empty((len(aset), feature_length(spec.num_slices, pool_blocks)))
     if blank.any():
         _, first, at = np.unique(keys[blank], return_index=True, return_inverse=True)
@@ -355,21 +343,20 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
         del slot, at
     feat[:, -FEAT_GEOM:] = np.column_stack([aset.l, aset.w, aset.h,
                                             np.full(len(aset), aset.layout.z_center)])
-    inner &= ~blank
     stack = np.concatenate([grid.heights, grid.density[..., None]], axis=-1)
-    for key in np.unique(keys[inner]):
-        sel = np.flatnonzero(inner & (keys == key))
-        _, _, n_r, n_c = np.unravel_index(key, dims)
+    for key in np.unique(keys[~blank]):
+        sel = np.flatnonzero(~blank & (keys == key))
+        n_r, n_c = divmod(int(key), spec.n_cols + 1)
         (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n, pool_blocks))
                                         for n in (n_r, n_c))
         # chunks of window start rows whose row-block table holds <= SLAB_CELLS floats
         sel = sel[np.argsort(r0[sel], kind="stable")]
         firsts = np.unique(r0[sel], return_index=True)[1]
-        span = c1[sel].max() + 1 - c0[sel].min()
+        span = c0[sel].max() + n_c - c0[sel].min()
         per = max(1, SLAB_CELLS // (len(len_r) * span * stack.shape[-1]))
         bounds = np.append(firsts[::per], len(sel))
         for sub in (sel[i:j] for i, j in zip(bounds[:-1], bounds[1:])):
-            lo, hi = c0[sub].min(), c1[sub].max() + 1
+            lo, hi = c0[sub].min(), c0[sub].max() + n_c
             stats = []
             for f in (np.maximum, np.add):
                 strip, row_at = _reduce_blocks(f, stack[:, lo:hi], r0[sub, None] + at_r, len_r)
@@ -380,8 +367,6 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
                 del strip, table  # peak memory: one strip and one block table at a time
             feat[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
                                                      spec.z_min)
-    for i in np.flatnonzero(~blank & ~inner):
-        feat[i] = featurize(grid, aset.box(int(i)), pool_blocks)
     return feat
 
 
@@ -688,8 +673,13 @@ class TrainConfig:
             raise ValueError(f"form must be one of {LIKELIHOOD_FORMS}, got {self.form!r}")
         if min(self.hidden1, self.hidden2, self.pool_blocks) < 1:
             raise ValueError("hidden sizes and pool_blocks must be >= 1")
-        if self.loc_bias < 0.0 or self.orient_snap < 0.0:
-            raise ValueError("noise bias terms must be >= 0")
+        for name in ("pos_cap", "neg_per_scene", "roi_jitter", "roi_negatives",
+                     "rpn_noise_scale", "loc_noise_scale", "orient_noise_scale",
+                     "outlier_scale", "loc_bias", "orient_snap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not 0.0 <= self.outlier_prob <= 1.0:
+            raise ValueError(f"outlier_prob must be in [0, 1], got {self.outlier_prob!r}")
 
 
 def lr_schedule(cfg: TrainConfig, step: int) -> float:

@@ -252,6 +252,20 @@ class TestBoundaries:
         assert "must be finite" in self._one_line_error(capsys)
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("line", [
+        "train.pos_cap = -1", "train.neg_per_scene = -1", "train.roi_jitter = -2",
+        "train.outlier_prob = 1.5", "train.loc_noise_scale = -1.0"])
+    def test_negative_train_counts_and_noise(self, workspace, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + line + "\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        field = line.split(".")[1].split(" ")[0]
+        assert f"{field} must be" in self._one_line_error(capsys)
+        assert not (tmp_path / "m.bin").exists()
+
 
     @pytest.mark.parametrize("line, field", [
         ("raster.x_max = inf", "x_max"), ("scene.noise_base = nan", "noise_base"),

@@ -205,18 +205,27 @@ class TestAnchors:
 
     def test_lattice_count_and_order(self):
         aset = build_anchor_set(self.LAYOUT, SMALL)
-        lat = len(range(2, SMALL.n_rows, 4)) * len(range(2, SMALL.n_cols, 4))
+        lat_rows, lat_cols = range(2, SMALL.n_rows, 4), range(2, SMALL.n_cols, 4)
+        lat = len(lat_rows) * len(lat_cols)
         assert len(aset) == 2 * 2 * lat
-        assert aset.shape_idx[0] == 0 and aset.shape_idx[-1] == 1
-        # within one shape the unswapped bin comes first
-        assert not aset.bin90[0] and aset.bin90[lat]
+        # shape-major, then the unswapped bin, then the swapped one; each
+        # (shape, bin) block is the whole lattice in row-major order
+        dims = [(4.2, 1.8, 1.6), (1.8, 4.2, 1.6), (3.4, 1.6, 1.4), (1.6, 3.4, 1.4)]
+        for k, want in enumerate(dims):
+            block = slice(k * lat, (k + 1) * lat)
+            for got, v in zip((aset.l, aset.w, aset.h), want):
+                assert (got[block] == v).all()
+            np.testing.assert_array_equal(aset.rows[block], np.repeat(lat_rows, len(lat_cols)))
+            np.testing.assert_array_equal(aset.cols[block], np.tile(lat_cols, len(lat_rows)))
 
     def test_bin90_swaps_extents(self):
         aset = build_anchor_set(self.LAYOUT, SMALL)
-        plain = np.where((aset.shape_idx == 0) & ~aset.bin90)[0][0]
-        swapped = np.where((aset.shape_idx == 0) & aset.bin90)[0][0]
-        assert (aset.l[plain], aset.w[plain]) == (4.2, 1.8)
-        assert (aset.l[swapped], aset.w[swapped]) == (1.8, 4.2)
+        lat = len(aset) // 4
+        # the first anchor of shape 0 is in the unswapped bin, the lat-th in
+        # the swapped one
+        assert (aset.l[0], aset.w[0]) == (4.2, 1.8)
+        assert (aset.l[lat], aset.w[lat]) == (1.8, 4.2)
+        assert aset.h[0] == aset.h[lat] == 1.6
 
     def test_centers_are_cell_centers(self):
         aset = build_anchor_set(self.LAYOUT, SMALL)
@@ -330,9 +339,11 @@ def assert_rows_bitwise(grid, aset, blocks=3, idx=None):
 
 
 class TestBlankWindows:
-    """Anchors whose clipped window holds no occupied cell take one row per
-    (shape, bin, clipped window size); every case below runs at z_min != 0,
-    where the mean of n sentinels need not be z_min exactly."""
+    """The two kinds of anchor window: one clipped to the grid that holds no
+    occupied cell takes the one row of its clipped (rows, cols) size; an
+    occupied one, at the border too, is pooled on the slabs from its clipped
+    start. Every case below runs at z_min != 0, where the mean of n sentinels
+    need not be z_min exactly."""
 
     SPEC = RangeSpec(0.0, 16.0, -8.0, 8.0, -0.3, 2.2, 0.25, 5, 0.5)
     LAYOUT = AnchorLayout(shapes=((4.2, 1.8, 1.6), (3.4, 1.6, 1.4)), stride=3)
@@ -373,6 +384,35 @@ class TestBlankWindows:
         assert (grid.density[:40] > 0).mean() > 0.9
         for blocks in (2, 3):
             assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, spec), blocks)
+
+    def test_occupied_windows_on_every_grid_edge(self):
+        # points in a 0.6 m band along each edge and in each corner cell, so
+        # windows clipped at every side (and both sides at the corners) are
+        # occupied and pooled on the slabs from their clipped start
+        spec, rng, n = self.SPEC, np.random.default_rng(41), 400
+        along_x, along_y = rng.uniform(0.0, 16.0, n), rng.uniform(-8.0, 8.0, n)
+        band = rng.uniform(0.0, 0.6, n)
+        xy = np.concatenate([np.column_stack([band, along_y]),
+                             np.column_stack([16.0 - band, along_y]),
+                             np.column_stack([along_x, -8.0 + band]),
+                             np.column_stack([along_x, 8.0 - band]),
+                             [[0.1, -7.9], [0.1, 7.9], [15.9, -7.9], [15.9, 7.9]]])
+        pts = np.column_stack([xy, rng.uniform(-0.3, 2.2, len(xy)), rng.random(len(xy))])
+        grid = rasterize(PointCloud(pts, "t"), spec)
+        occupied = grid.density > 0
+        assert occupied[[0, -1]].all(axis=0).mean() > 0.5
+        assert occupied[:, [0, -1]].all(axis=1).mean() > 0.5
+        assert occupied[[0, 0, -1, -1], [0, -1, 0, -1]].all()
+        aset = build_anchor_set(self.LAYOUT, spec)
+        res = spec.xy_resolution
+        r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
+        c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
+        occupied_window = np.array([occupied[max(a, 0):b + 1, max(c, 0):d + 1].any()
+                                    for a, b, c, d in zip(r0, r1, c0, c1)])
+        for clipped in (r0 < 0, r1 >= spec.n_rows, c0 < 0, c1 >= spec.n_cols):
+            assert (clipped & occupied_window).sum() > 50
+        for blocks in (2, 3):
+            assert_rows_bitwise(grid, aset, blocks)
 
     @pytest.mark.parametrize("height, density", [(1.0, 0.0), (-0.3 + 1e-12, 0.0),
                                                  (-0.3, -0.0)])
@@ -684,6 +724,21 @@ class TestConfigValidation:
     def test_train_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("pos_cap", -1), ("neg_per_scene", -1), ("roi_jitter", -2), ("roi_negatives", -1),
+        ("outlier_prob", -0.1), ("outlier_prob", 1.5), ("outlier_scale", -3.0),
+        ("rpn_noise_scale", -1.0), ("loc_noise_scale", -0.5), ("orient_noise_scale", -1.0),
+        ("loc_bias", -0.1), ("orient_snap", -1.0)])
+    def test_train_config_rejects_negative_counts_and_noise(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_train_config_accepts_zero_counts_and_noise(self):
+        TrainConfig(pos_cap=0, neg_per_scene=0, roi_jitter=0, roi_negatives=0,
+                    outlier_prob=1.0, outlier_scale=0.0, rpn_noise_scale=0.0,
+                    loc_noise_scale=0.0, orient_noise_scale=0.0)
+        TrainConfig(outlier_prob=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"pre_nms_top": 0}, {"pre_nms_top": -5}, {"proposal_count": -1},
