@@ -19,6 +19,9 @@
 # `raster.y_max = 8.0` (dets_edges/), whose edges cut the scenes' cars on all
 # four sides, so that anchor windows clipped by the grid and holding points
 # are compared: 224 of them over the 20 scenes, against 5 on quick.cfg's raster.
+# Each side also rasterizes scene_0000 with an empty defaults.cfg
+# (grid_default.bin), so that the default grid, the paper's 700 x 800 cells
+# at 0.1 m, is compared.
 # Each side also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
@@ -63,6 +66,7 @@ pipeline() {  # <source tree> <output dir>
         > "$out/zmin.cfg"
     { cat "$tmp/quick.cfg"; echo "raster.x_min = 6.0"; echo "raster.x_max = 20.0"
       echo "raster.y_min = -8.0"; echo "raster.y_max = 8.0"; } > "$out/edges.cfg"
+    : > "$out/defaults.cfg"
     (
         cd "$out"
         ldet() { PYTHONPATH="$src" python3 -m lidardet "$@"; }
@@ -84,6 +88,8 @@ pipeline() {  # <source tree> <output dir>
             ldet analyze --records records.csv --analysis "$analysis" --out "$analysis.csv"
         done
         ldet rasterize --cloud scenes/scene_0000.bin --spec quick.cfg --out grid.bin
+        ldet rasterize --cloud scenes/scene_0000.bin --spec defaults.cfg \
+            --out grid_default.bin
         PYTHONPATH="$src" python3 "$tmp/pools.py" > pools.sha256
     ) > "$out/stdout.txt" || { echo "pipeline failed on $1" >&2; exit 2; }
 }

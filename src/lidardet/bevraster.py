@@ -34,17 +34,21 @@ def _integral(extent: float, step: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class RangeSpec:
-    """Crop bounds and grid geometry; validated on construction."""
+    """Crop bounds and grid geometry; validated on construction.
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    z_min: float
-    z_max: float
-    xy_resolution: float
-    num_slices: int
-    slice_height: float
+    The defaults are the paper's grid: 70 m forward by 80 m across at
+    0.1 m (700 x 800 cells), five 0.5 m height slices from the ground.
+    """
+
+    x_min: float = 0.0
+    x_max: float = 70.0
+    y_min: float = -40.0
+    y_max: float = 40.0
+    z_min: float = 0.0
+    z_max: float = 2.5
+    xy_resolution: float = 0.1
+    num_slices: int = 5
+    slice_height: float = 0.5
 
     def __post_init__(self) -> None:
         require_finite(self, SpecError)

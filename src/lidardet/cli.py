@@ -94,10 +94,7 @@ def _cmd_train(args) -> int:
         raise ValueError("training scenes contain no ground-truth boxes")
     shapes = kmeans_anchor_dims(dims, k=cfg["anchor.clusters"], seed=cfg["seed"])
     layout = make_layout(cfg, shapes)
-    training_set = build_training_set(
-        scenes, layout, spec, tcfg,
-        rpn_pos=cfg["assign.rpn_pos"], rpn_neg=cfg["assign.rpn_neg"],
-        frh_pos=cfg["assign.frh_pos"], frh_neg=cfg["assign.frh_neg"])
+    training_set = build_training_set(scenes, layout, spec, tcfg)
     params, log = train(training_set, tcfg, layout)
     save_params(params, args.out_params)
     save_log(log, args.log)

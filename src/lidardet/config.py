@@ -1,14 +1,14 @@
 """Flat text configuration for the command-line pipeline.
 
 Files hold ``key = value`` lines with ``#`` comments. Keys are dotted
-into sections. The ``train.*``, ``infer.*`` and ``scene.*`` keys and
-``anchor.stride``/``anchor.z_center`` are the fields of TrainConfig,
-InferConfig, SceneSpec and AnchorLayout and take the dataclasses' own
-defaults; a tuple field such as ``SceneSpec.dim_mean`` is an (l, w, h)
-triple with one key per element (``scene.dim_mean_l``). Only the keys
-no dataclass defaults are listed here: ``seed`` (it feeds both
-TrainConfig and SceneSpec), the RangeSpec fields ``raster.*``,
-``anchor.clusters`` and the ``assign.*`` matching thresholds. Every key
+into sections. The ``raster.*``, ``train.*``, ``infer.*`` and ``scene.*``
+keys and ``anchor.stride``/``anchor.z_center`` are the fields of
+RangeSpec, TrainConfig, InferConfig, SceneSpec and AnchorLayout and take
+the dataclasses' own defaults; a tuple field such as
+``SceneSpec.dim_mean`` is an (l, w, h) triple with one key per element
+(``scene.dim_mean_l``). Only the two keys that no dataclass field holds
+are listed here: ``seed`` (it feeds both TrainConfig and SceneSpec) and
+``anchor.clusters`` (the k of the anchor dimension clustering). Every key
 has a default, and the default's type decides how the value parses.
 Unknown keys and malformed values raise ConfigError so typos cannot
 silently fall back.
@@ -51,27 +51,7 @@ def _field_defaults() -> dict:
     return out
 
 
-DEFAULTS = {
-    "seed": 0,
-    # grid geometry (RangeSpec has no defaults)
-    "raster.x_min": 0.0,
-    "raster.x_max": 70.0,
-    "raster.y_min": -40.0,
-    "raster.y_max": 40.0,
-    "raster.z_min": 0.0,
-    "raster.z_max": 2.5,
-    "raster.xy_resolution": 0.1,
-    "raster.num_slices": 5,
-    "raster.slice_height": 0.5,
-    # anchor dimension clusters
-    "anchor.clusters": 2,
-    # matching thresholds
-    "assign.rpn_pos": 0.5,
-    "assign.rpn_neg": 0.3,
-    "assign.frh_pos": 0.65,
-    "assign.frh_neg": 0.55,
-    **_field_defaults(),
-}
+DEFAULTS = {"seed": 0, "anchor.clusters": 2, **_field_defaults()}
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False}
@@ -136,9 +116,8 @@ def make_range_spec(cfg: dict) -> RangeSpec:
     return _make(RangeSpec, cfg)
 
 
-def make_scene_spec(cfg: dict, seed=None) -> SceneSpec:
-    return _make(SceneSpec, cfg, seed=cfg["seed"] if seed is None else seed,
-                 range_spec=make_range_spec(cfg))
+def make_scene_spec(cfg: dict) -> SceneSpec:
+    return _make(SceneSpec, cfg, seed=cfg["seed"], range_spec=make_range_spec(cfg))
 
 
 def make_train_config(cfg: dict) -> TrainConfig:

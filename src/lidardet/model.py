@@ -650,6 +650,10 @@ class TrainConfig:
     neg_per_scene: int = 32
     roi_jitter: int = 3
     roi_negatives: int = 12
+    rpn_pos: float = 0.5   # stage-1 anchor IoU at or above: positive
+    rpn_neg: float = 0.3   # stage-1 anchor IoU below: negative
+    frh_pos: float = 0.65  # stage-2 ROI thresholds, likewise
+    frh_neg: float = 0.55
     rpn_noise_scale: float = 1.0
     loc_noise_scale: float = 1.0
     orient_noise_scale: float = 1.0
@@ -680,6 +684,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ValueError(f"outlier_prob must be in [0, 1], got {self.outlier_prob!r}")
+        for stage in ("rpn", "frh"):
+            pos, neg = getattr(self, f"{stage}_pos"), getattr(self, f"{stage}_neg")
+            if not 0.0 < pos <= 1.0:
+                raise ValueError(f"{stage}_pos must be in (0, 1], got {pos!r}")
+            if not 0.0 <= neg <= pos:
+                raise ValueError(f"{stage}_neg must be in [0, {stage}_pos], got {neg!r}")
 
 
 def lr_schedule(cfg: TrainConfig, step: int) -> float:
@@ -790,21 +800,24 @@ class TrainingSet:
 
 
 def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
-                       cfg: TrainConfig, rpn_pos: float = 0.5, rpn_neg: float = 0.3,
-                       frh_pos: float = 0.65, frh_neg: float = 0.55) -> TrainingSet:
+                       cfg: TrainConfig) -> TrainingSet:
     """Rasterize scenes and freeze per-scene candidate pools.
 
-    Both stages label candidates with ``codec.assign``. Stage 1 pools the
-    positive anchors, highest IoU first and capped, then the best anchor
-    per truth force-included, plus sampled negative anchors. Stage 2 pools each truth's exact envelope and jittered
-    copies plus near-miss and random negatives, labeled by the stricter
-    second-stage thresholds; positive rows encode the true rotated box.
+    Both stages label candidates with ``codec.assign`` at the thresholds
+    of ``cfg``. Stage 1 pools the positive anchors (``rpn_pos``), highest
+    IoU first and capped, then the best anchor per truth force-included,
+    plus sampled negative anchors (``rpn_neg``). Stage 2 pools each
+    truth's exact envelope and jittered copies plus near-miss and random
+    negatives, labeled by the stricter ``frh_pos``/``frh_neg``; positive
+    rows encode the true rotated box. Both pools are a few dozen boxes per
+    scene, so each row is one ``featurize`` call.
     """
-    for stage, pos, neg in (("rpn", rpn_pos, rpn_neg), ("frh", frh_pos, frh_neg)):
-        if not 0.0 < pos <= 1.0:
-            raise ValueError(f"{stage}_pos must be in (0, 1], got {pos!r}")
-        if not 0.0 <= neg <= pos:
-            raise ValueError(f"{stage}_neg must be in [0, {stage}_pos], got {neg!r}")
+    feat_len = feature_length(spec.num_slices, cfg.pool_blocks)
+
+    def pooled(grid, boxes):
+        rows = [featurize(grid, b, cfg.pool_blocks) for b in boxes]
+        return np.stack(rows) if rows else np.zeros((0, feat_len))
+
     aset = build_anchor_set(layout, spec)
     anchor_ext = aa_extents(aset.cx, aset.cy, aset.l, aset.w)
     packs = []
@@ -817,7 +830,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         # stage 1: anchor pool against truth envelopes
         truth_ext = box_extents(envs)
         iou = iou_aa(anchor_ext, truth_ext)
-        labels, matched = assign(iou, rpn_pos, rpn_neg)
+        labels, matched = assign(iou, cfg.rpn_pos, cfg.rpn_neg)
         above = np.flatnonzero(labels == 1)
         ranked = above[np.argsort(-iou[above, matched[above]], kind="stable")][:cfg.pos_cap]
         best = iou.argmax(axis=0)
@@ -828,7 +841,7 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
         n_neg = min(cfg.neg_per_scene, len(neg_pool))
         neg = np.sort(rng.choice(neg_pool, size=n_neg, replace=False))
         sel = np.concatenate([pos, neg])
-        x1 = anchor_features(grid, aset.take(sel), cfg.pool_blocks)
+        x1 = pooled(grid, map(aset.box, sel.tolist()))
         rpn_cls = np.zeros(len(sel), dtype=np.int64)
         rpn_cls[:len(pos)] = 1
         # forced anchors may lie below rpn_pos, so match every pooled row
@@ -859,7 +872,8 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
                 cands.append(Box3D(rng.uniform(spec.x_min + 3, spec.x_max - 3),
                                    rng.uniform(spec.y_min + 3, spec.y_max - 3),
                                    0.8, 4.2, 1.8, 1.6, 0.0))
-        frh_cls, matched = assign(iou_aa(box_extents(cands), truth_ext), frh_pos, frh_neg)
+        frh_cls, matched = assign(iou_aa(box_extents(cands), truth_ext),
+                                  cfg.frh_pos, cfg.frh_neg)
         hits = np.flatnonzero(frh_cls == 1)
         frh_loc = np.zeros((len(cands), FRH_LOC_DIM))
         frh_orient = np.zeros((len(cands), FRH_ORIENT_DIM))
@@ -867,14 +881,11 @@ def build_training_set(scenes, layout: AnchorLayout, spec: RangeSpec,
             frh_loc[i], frh_orient[i] = encode_frh(cands[i], scene.gts[matched[i]].box)
         frh_sigma = np.zeros(len(cands))
         frh_sigma[hits] = sigmas[matched[hits]]
-        x2 = np.stack([featurize(grid, c, cfg.pool_blocks) for c in cands]) \
-            if cands else np.zeros((0, feature_length(spec.num_slices, cfg.pool_blocks)))
         packs.append(ScenePack(x1=x1, rpn_cls=rpn_cls, rpn_reg=rpn_reg,
-                               rpn_sigma=rpn_sigma, x2=x2, frh_cls=frh_cls,
-                               frh_loc=frh_loc, frh_orient=frh_orient,
+                               rpn_sigma=rpn_sigma, x2=pooled(grid, cands),
+                               frh_cls=frh_cls, frh_loc=frh_loc, frh_orient=frh_orient,
                                frh_sigma=frh_sigma))
-    return TrainingSet(packs=packs,
-                       feat_len=feature_length(spec.num_slices, cfg.pool_blocks))
+    return TrainingSet(packs=packs, feat_len=feat_len)
 
 
 _BASE_ANGLES = np.array([-math.pi, -0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi])

@@ -82,12 +82,6 @@ class UncertaintyRecord:
         return base_angle_offset(self.yaw)
 
 
-def _bin_key(record: UncertaintyRecord, key: str) -> float:
-    if key == "angle_offset":
-        return record.angle_offset
-    return float(getattr(record, key))
-
-
 @dataclass
 class BinStat:
     lo: float
@@ -126,7 +120,7 @@ def binned_means(records: Sequence[UncertaintyRecord], key: str, edges,
     sums = np.zeros(len(e) - 1)
     counts = np.zeros(len(e) - 1, dtype=np.int64)
     for rec in records:
-        k = _bin_key(rec, key)
+        k = float(getattr(rec, key))
         if k < e[0] or k >= e[-1]:
             continue
         i = int(np.searchsorted(e, k, side="right")) - 1

@@ -32,7 +32,7 @@ from lidardet.synthgen import (DEFAULT_SCENE_RANGE, SceneSpec,
 from lidardet.uncstats import (binned_means, pearson,
                                records_from_detections)
 
-FULL_RANGE = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.1, 5, 0.5)
+FULL_RANGE = RangeSpec()
 
 # Training setup shared by the statistical criteria: deep car placement,
 # dense sampling, strong per-object label noise with an outlier mixture.

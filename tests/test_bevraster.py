@@ -10,7 +10,7 @@ from lidardet.bevraster import RangeSpec, rasterize, read_grid, write_grid
 from lidardet.errors import FormatError, SpecError
 from lidardet.pcio import PointCloud
 
-FULL_RANGE = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.1, 5, 0.5)
+FULL_RANGE = RangeSpec()
 SMALL = RangeSpec(0.0, 8.0, -4.0, 4.0, 0.0, 2.5, 0.5, 5, 0.5)
 
 

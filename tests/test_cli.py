@@ -281,9 +281,9 @@ class TestBoundaries:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("text, name", [
-        ("assign.rpn_pos = 0\nassign.rpn_neg = 0", "rpn_pos"),
-        ("assign.rpn_neg = 0.6", "rpn_neg"), ("assign.frh_pos = 1.5", "frh_pos"),
-        ("assign.frh_neg = -0.1", "frh_neg")])
+        ("train.rpn_pos = 0\ntrain.rpn_neg = 0", "rpn_pos"),
+        ("train.rpn_neg = 0.6", "rpn_neg"), ("train.frh_pos = 1.5", "frh_pos"),
+        ("train.frh_neg = -0.1", "frh_neg")])
     def test_assign_thresholds_out_of_range(self, workspace, tmp_path, capsys,
                                             text, name):
         cfg = tmp_path / "bad.cfg"
@@ -294,6 +294,15 @@ class TestBoundaries:
         assert code == 1
         assert f"{name} must be in" in self._one_line_error(capsys)
         assert not (tmp_path / "m.bin").exists()
+
+    def test_assign_key_is_unknown(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(CONFIG_TEXT + "assign.rpn_pos = 0.5\n")
+        code = run(["train", "--data", str(workspace["scenes"]), "--config", str(cfg),
+                    "--out-params", str(tmp_path / "m.bin"),
+                    "--log", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert "unknown key 'assign.rpn_pos'" in self._one_line_error(capsys)
 
     @pytest.mark.parametrize("clusters", [0, -1])
     def test_anchor_clusters_below_one(self, workspace, tmp_path, capsys, clusters):
@@ -513,8 +522,8 @@ CHANGED = {
     "raster.num_slices": "raster.num_slices = 10\nraster.slice_height = 0.25",
     "raster.slice_height": "raster.slice_height = 0.25\nraster.num_slices = 10",
     "train.form": "train.form = laplace",
-    "assign.rpn_pos": "assign.rpn_pos = 0.6", "assign.rpn_neg": "assign.rpn_neg = 0.2",
-    "assign.frh_pos": "assign.frh_pos = 0.7", "assign.frh_neg": "assign.frh_neg = 0.5",
+    "train.rpn_pos": "train.rpn_pos = 0.6", "train.rpn_neg": "train.rpn_neg = 0.2",
+    "train.frh_pos": "train.frh_pos = 0.7", "train.frh_neg": "train.frh_neg = 0.5",
 }
 
 
@@ -535,15 +544,14 @@ class _Seen(Exception):
 
 
 def train_arguments(workspace, tmp_path, monkeypatch, text):
-    """What `train` passes to anchor clustering and pool building."""
+    """What `train` passes to anchor clustering."""
     seen = {}
 
     def kmeans(dims, k, seed):
         seen["anchor.clusters"] = k
         return np.full((k, 3), 2.0)
 
-    def build(scenes, layout, spec, tcfg, **thresholds):
-        seen.update({f"assign.{name}": v for name, v in thresholds.items()})
+    def build(scenes, layout, spec, tcfg):
         raise _Seen
     monkeypatch.setattr(cli, "kmeans_anchor_dims", kmeans)
     monkeypatch.setattr(cli, "build_training_set", build)
@@ -595,6 +603,12 @@ class TestConfig:
         assert cfg["raster.xy_resolution"] == 0.2
         assert cfg["scene.occlusion"] is False
         assert cfg["train.form"] == "laplace"
+        # a grid default written as an int literal would reject 0.25
+        floats = [k for k in DEFAULTS
+                  if k.startswith("raster.") and k != "raster.num_slices"]
+        assert len(floats) == 8
+        cfg = parse_config("".join(f"{k} = 0.25\n" for k in floats))
+        assert all(cfg[k] == 0.25 and isinstance(cfg[k], float) for k in floats)
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# full-line comment\n\nseed = 3 # trailing\n")
@@ -603,6 +617,11 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("nope.key = 1\n")
+
+    def test_assign_keys_are_gone(self):
+        # the IoU thresholds are TrainConfig fields, set as train.*
+        with pytest.raises(ConfigError, match="unknown key 'assign.rpn_pos'"):
+            parse_config("assign.rpn_pos = 0.5\n")
 
     def test_evaluation_keys_are_gone(self):
         # eval and analyze take their settings from argv and library defaults
@@ -631,7 +650,6 @@ class TestConfig:
     def test_seed_threads_into_scene_spec(self):
         cfg = parse_config("seed = 42\n")
         assert make_scene_spec(cfg).seed == 42
-        assert make_scene_spec(cfg, seed=7).seed == 7
 
 
 class TestBitFlipFuzz:

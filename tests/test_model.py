@@ -302,7 +302,7 @@ class TestAnchors:
     def test_anchor_features_peak_memory_is_small_against_its_output(self):
         # the paper's range at 0.2 m: 350 x 400 cells, 34,800 anchors; no
         # anchors x window cells temporary
-        spec = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.2, 5, 0.5)
+        spec = RangeSpec(xy_resolution=0.2)
         rng = np.random.default_rng(13)
         n = 60000
         pts = np.column_stack([rng.uniform(0, 70, n), rng.uniform(-40, 40, n),
@@ -348,7 +348,7 @@ class TestBlankWindows:
     SPEC = RangeSpec(0.0, 16.0, -8.0, 8.0, -0.3, 2.2, 0.25, 5, 0.5)
     LAYOUT = AnchorLayout(shapes=((4.2, 1.8, 1.6), (3.4, 1.6, 1.4)), stride=3)
     # detect_full's scene law (perfbench/workloads.py: FULL_SCENE)
-    FULL = RangeSpec(0.0, 70.0, -40.0, 40.0, 0.0, 2.5, 0.1, 5, 0.5)
+    FULL = RangeSpec()
     FULL_SCENE = dict(num_cars=24, x_min=4.0, x_max=66.0, y_min=-36.0, y_max=36.0,
                       point_budget=1000, density_exponent=1.2)
 
@@ -734,6 +734,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rpn_pos": 0.0, "rpn_neg": 0.0}, r"rpn_pos must be in \(0, 1\]"),
+        ({"rpn_neg": 0.6}, r"rpn_neg must be in \[0, rpn_pos\]"),
+        ({"frh_pos": 1.5}, r"frh_pos must be in \(0, 1\]"),
+        ({"frh_neg": -0.1}, r"frh_neg must be in \[0, frh_pos\]")])
+    def test_train_config_rejects_thresholds_out_of_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TrainConfig(**kwargs)
+
+    def test_train_config_accepts_threshold_edges(self):
+        TrainConfig(rpn_pos=1.0, rpn_neg=1.0, frh_pos=0.1, frh_neg=0.0)
+
     def test_train_config_accepts_zero_counts_and_noise(self):
         TrainConfig(pos_cap=0, neg_per_scene=0, roi_jitter=0, roi_negatives=0,
                     outlier_prob=1.0, outlier_scale=0.0, rpn_noise_scale=0.0,
@@ -793,7 +805,7 @@ def list_stage1(iou, rpn_pos, rpn_neg, cfg, rng):
 
 class TestTrainingSet:
     def test_pools_match_list_reference(self, monkeypatch):
-        cfg = replace(CFG_SMOKE, pos_cap=2)
+        cfg = replace(CFG_SMOKE, pos_cap=2, rpn_pos=0.4)
         layout = AnchorLayout(shapes=((4.1, 1.8, 1.5),), stride=2)
         spec = SCENE_SPEC.range_spec
         scenes = (generate_scenes(replace(SCENE_SPEC, num_cars=5), 2)
@@ -805,7 +817,7 @@ class TestTrainingSet:
             return assign(iou, pos_threshold, neg_threshold)
 
         monkeypatch.setattr("lidardet.model.assign", recording_assign)
-        ts = build_training_set(scenes, layout, spec, cfg, rpn_pos=0.4)
+        ts = build_training_set(scenes, layout, spec, cfg)
         assert len(matrices) == 2 * len(scenes)
         aset = build_anchor_set(layout, spec)
         capped_and_forced = 0
@@ -848,7 +860,7 @@ class TestTrainingSet:
         scenes = generate_scenes(replace(SCENE_SPEC, num_cars=0), 1)
         for frh_neg, label in ((0.55, 0), (0.0, -1)):
             pack = build_training_set(scenes, LAYOUT_SMOKE, SCENE_SPEC.range_spec,
-                                      CFG_SMOKE, frh_neg=frh_neg).packs[0]
+                                      replace(CFG_SMOKE, frh_neg=frh_neg)).packs[0]
             assert pack.frh_cls.tolist() == [label] * CFG_SMOKE.roi_negatives
             assert pack.rpn_cls.tolist() == [0] * CFG_SMOKE.neg_per_scene
 
