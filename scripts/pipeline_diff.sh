@@ -19,6 +19,14 @@
 # `raster.y_max = 8.0` (dets_edges/), whose edges cut the scenes' cars on all
 # four sides, so that anchor windows clipped by the grid and holding points
 # are compared: 224 of them over the 20 scenes, against 5 on quick.cfg's raster.
+# Each side also runs infer on the paper's grid, `raster.x_min = 0.0`,
+# `raster.x_max = 70.0`, `raster.y_min = -40.0`, `raster.y_max = 40.0`,
+# `raster.xy_resolution = 0.1` (700 x 800 cells, 140,000 anchors), with
+# model.bin (dets_paper/: 65,536-row stage-1 blocks at hidden1 = 16) and with
+# a model trained with `train.hidden1 = 1024` appended (model_h1024.bin,
+# dets_paper_h1024/: 1,024-row blocks), so that stage 1 over the compact rows
+# of anchor_features, padded to whole blocks, is compared with stage 1 over
+# the anchor rows: one block per scene, and two to four.
 # Each side also rasterizes scene_0000 with an empty defaults.cfg
 # (grid_default.bin), so that the default grid, the paper's 700 x 800 cells
 # at 0.1 m, is compared.
@@ -60,12 +68,16 @@ pipeline() {  # <source tree> <output dir>
     cp "$tmp/quick.cfg" "$out/"
     { cat "$tmp/quick.cfg"; echo "train.form = laplace"; } > "$out/laplace.cfg"
     { cat "$tmp/quick.cfg"; echo "train.hidden1 = 256"; } > "$out/h256.cfg"
+    { cat "$tmp/quick.cfg"; echo "train.hidden1 = 1024"; } > "$out/h1024.cfg"
     { cat "$out/h256.cfg"; echo "raster.x_max = 96.0"; echo "raster.y_min = -48.0"
       echo "raster.y_max = 48.0"; } > "$out/h256_wide.cfg"
     { cat "$tmp/quick.cfg"; echo "raster.z_min = -0.3"; echo "raster.z_max = 2.2"; } \
         > "$out/zmin.cfg"
     { cat "$tmp/quick.cfg"; echo "raster.x_min = 6.0"; echo "raster.x_max = 20.0"
       echo "raster.y_min = -8.0"; echo "raster.y_max = 8.0"; } > "$out/edges.cfg"
+    { cat "$tmp/quick.cfg"; echo "raster.x_min = 0.0"; echo "raster.x_max = 70.0"
+      echo "raster.y_min = -40.0"; echo "raster.y_max = 40.0"
+      echo "raster.xy_resolution = 0.1"; } > "$out/paper.cfg"
     : > "$out/defaults.cfg"
     (
         cd "$out"
@@ -76,12 +88,17 @@ pipeline() {  # <source tree> <output dir>
             --log train_log_laplace.csv
         ldet train --data scenes --config h256.cfg --out-params model_h256.bin \
             --log train_log_h256.csv
+        ldet train --data scenes --config h1024.cfg --out-params model_h1024.bin \
+            --log train_log_h1024.csv
         ldet infer --params model.bin --data scenes --out dets --config quick.cfg \
             --records records.csv
         ldet infer --params model_h256.bin --data scenes --out dets_h256 \
             --config h256_wide.cfg
         ldet infer --params model.bin --data scenes --out dets_zmin --config zmin.cfg
         ldet infer --params model.bin --data scenes --out dets_edges --config edges.cfg
+        ldet infer --params model.bin --data scenes --out dets_paper --config paper.cfg
+        ldet infer --params model_h1024.bin --data scenes --out dets_paper_h1024 \
+            --config paper.cfg
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
         for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \
                 rpn-vs-frh loc-vs-orient; do

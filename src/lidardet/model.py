@@ -37,22 +37,33 @@ that refactors are checked against.
 kinds. An occupied window holds a cell whose density is not 0 or whose
 heights are not all the ``z_min`` sentinel; it is pooled on the slabs from
 its clipped start, at the border as inside. A blank window pools to a row
-that depends only on its clipped (rows, cols) size, so each size's row is
-computed once, by ``featurize``, and gathered to its anchors. Synthesized
-scenes hold car points only, so 6-10% of anchor windows are occupied; as in
-PointPillars and VoxelNet, which encode only non-empty pillars or voxels,
-the empty rest costs almost nothing, and here the scatter back is exact.
+that depends only on its clipped (rows, cols) size, so the blank anchors of
+one size and one (l, w, h) share one row, computed once by ``featurize``.
+The result is compact, ``AnchorFeatures``: the distinct rows (one per
+occupied window, then the shared blank rows) and each anchor's slot among
+them; no (N, F) matrix is built. Synthesized scenes hold car points only,
+so 6-10% of anchor windows are occupied; as in PointPillars and VoxelNet,
+which encode only non-empty pillars or voxels and scatter the results
+back, the empty rest costs almost nothing, and here the scatter is exact.
 
-``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows,
-the remainder joined to the last block, and keeps only the logits, reg and
-log-variance outputs, 14 floats per anchor; each block's (rows, hidden1)
+``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows
+and keeps only the logits, reg and log-variance outputs, 14 floats per
+anchor; each block's rows are gathered on their own and its (rows, hidden1)
 temporaries are freed before the next, so its transient memory is bounded
-by STAGE1_CELLS, not by the anchor count. The block is sized in hidden
-activations, not rows, for the bits: OpenBLAS computes a head product
-``hid @ w_head`` whose M*N*K is at most about 1e6 with a small-matrix kernel
-that rounds differently. At 2**20 activations every block's head products
-stay above that size, so the blocked outputs equal one call over all rows
-bit for bit, and fewer than two blocks' rows are that one call.
+by STAGE1_CELLS, not by the anchor count. The row rule: when the compact
+rows, zero-padded up to whole blocks, are fewer than the N anchors, stage 1
+scores those blocks and maps the outputs back to the anchors through the
+slots; otherwise it scores the N anchor rows, the remainder joined to the
+last block. So it never scores more than N rows. The block is sized in
+hidden activations, not rows, for the bits: OpenBLAS computes a head
+product ``hid @ w_head`` whose M*N*K is at most about 1e6 with a
+small-matrix kernel that rounds differently. At 2**20 activations every
+block's head products stay above that size, so a row's outputs do not
+depend on the block it is scored in: both sides of the row rule equal one
+call over all anchor rows bit for bit, and fewer than two blocks' rows are
+that one call. Compact rows are never scored in a block shorter than the
+budget, which would fall into the small kernel (a bench frame's ~1,100
+rows alone change the bits of most of them).
 """
 
 from __future__ import annotations
@@ -253,6 +264,12 @@ class AnchorSet:
                                 if f.name not in ("spec", "layout")})
 
 
+def _lattice_dims(layout: AnchorLayout) -> np.ndarray:
+    """One (l, w, h) per shape and bin, the 90-degree bin with l and w swapped."""
+    return np.array([d for sl, sw, sh in layout.shapes
+                     for d in ((sl, sw, sh), (sw, sl, sh))], dtype=np.float64)
+
+
 def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
     """The anchor lattice on spec's grid; ValueError when it holds no anchor."""
     lat_rows = np.arange(layout.stride // 2, spec.n_rows, layout.stride)
@@ -260,9 +277,7 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
     if not (len(lat_rows) and len(lat_cols)):
         raise ValueError(f"anchor stride {layout.stride} places no anchor on the "
                          f"{spec.n_rows}x{spec.n_cols}-cell grid")
-    # one (l, w, h) per shape and bin, the 90-degree bin with l and w swapped
-    dims = np.array([d for sl, sw, sh in layout.shapes
-                     for d in ((sl, sw, sh), (sw, sl, sh))], dtype=np.float64)
+    dims = _lattice_dims(layout)
     rows = np.tile(np.repeat(lat_rows, len(lat_cols)), len(dims))
     cols = np.tile(lat_cols, len(lat_rows) * len(dims))
     l, w, h = np.repeat(dims.T, len(rows) // len(dims), axis=1)
@@ -296,32 +311,52 @@ def _clipped_windows(grid: BevGrid, r0, r1, c0, c1):
     return (a0, b0), (a1 - a0, b1 - b0), count
 
 
-def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.ndarray:
-    """Feature matrix over a whole anchor set, row i equal to featurize of anchor i.
+@dataclass(eq=False)
+class AnchorFeatures:
+    """The feature rows of an anchor set in compact form: anchor i's row is
+    ``rows[slot[i]]``, equal to ``featurize`` of anchor i bit for bit.
+
+    ``rows`` (D, F) holds one row per occupied window, in anchor order, then
+    one row per distinct (clipped size, l, w, h) of the blank windows; ``slot``
+    (N,) gives each anchor's row. Indexing, ``feats[i]`` or ``feats[idx]``,
+    gathers the dense rows of those anchors."""
+
+    rows: np.ndarray
+    slot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.rows[self.slot[idx]]
+
+
+def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> AnchorFeatures:
+    """The feature rows of a whole anchor set, compact: no (N, F) matrix is built.
 
     Every anchor window, clipped to the grid, is one of two kinds, and both
-    kinds are grouped by the clipped (rows, cols) size alone; the geometry
-    columns are written apart, so a pooled row depends only on its window. A
-    lattice anchor's window holds its own center cell, so no size is 0. A
-    cell is blank when its density is 0 and every height is the ``z_min``
-    sentinel, both compared bit for bit; an int64 prefix sum of the occupied
-    cells gives each window's exact occupied-cell count.
+    kinds are grouped by the clipped (rows, cols) size; the geometry columns
+    are written apart, so a pooled row depends only on its window. A lattice
+    anchor's window holds its own center cell, so no size is 0. A cell is
+    blank when its density is 0 and every height is the ``z_min`` sentinel,
+    both compared bit for bit; an int64 prefix sum of the occupied cells gives
+    each window's exact occupied-cell count.
 
     A blank window, one with no occupied cell, pools to a row that depends only
-    on its size, so each size's row is computed once, by ``featurize`` on its
-    first anchor, and one gather copies it to all of the size's blank anchors.
-    The row is not assumed to be the sentinel: at ``z_min != 0`` the mean of n
+    on its size, so the blank anchors of one size and one (l, w, h) of the
+    layout share one row, computed by ``featurize`` on the first of them. The
+    row is not assumed to be the sentinel: at ``z_min != 0`` the mean of n
     sentinels need not be ``z_min`` exactly.
 
-    Occupied windows, border windows included, are pooled from their clipped
-    start, one size at a time, in chunks of window start rows. The row pass
-    reduces each distinct row block once across the chunk's columns; the
-    column pass reduces each distinct column block of that strip, transposed
-    to (column, row block, channel), for all of the chunk's row blocks at once.
-    Both passes run ``_reduce_blocks``, which adds in reduceat's order (first
-    cell plus the pairwise sum of the rest), so these rows equal ``featurize``
-    bit for bit. A dense cloud, with every window occupied, takes this path
-    for every anchor."""
+    Each occupied window, border windows included, gets its own row, pooled
+    from its clipped start, one size at a time, in chunks of window start rows.
+    The row pass reduces each distinct row block once across the chunk's
+    columns; the column pass reduces each distinct column block of that strip,
+    transposed to (column, row block, channel), for all of the chunk's row
+    blocks at once. Both passes run ``_reduce_blocks``, which adds in
+    reduceat's order (first cell plus the pairwise sum of the rest), so these
+    rows equal ``featurize`` bit for bit. A dense cloud, with every window
+    occupied, has as many rows as anchors."""
     spec = grid.spec
     res = spec.xy_resolution
     r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
@@ -329,23 +364,30 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
     (r0, c0), (n_rs, n_cs), count = _clipped_windows(grid, r0, r1, c0, c1)
     # one int per clipped window size, 50x faster than np.unique(axis=0)
     keys = n_rs * (spec.n_cols + 1) + n_cs
-    blank = count == 0
+    occ, blank = np.flatnonzero(count), np.flatnonzero(count == 0)
     del r1, c1, n_rs, n_cs, count
-    feat = np.empty((len(aset), feature_length(spec.num_slices, pool_blocks)))
-    if blank.any():
-        _, first, at = np.unique(keys[blank], return_index=True, return_inverse=True)
-        table = np.stack([featurize(grid, aset.box(int(i)), pool_blocks)
-                          for i in np.flatnonzero(blank)[first]])
-        slot = np.zeros(len(aset), dtype=np.intp)
-        slot[blank] = at
-        # one gather straight into feat; the other rows are overwritten below
-        np.take(table, slot, axis=0, out=feat, mode="clip")
-        del slot, at
-    feat[:, -FEAT_GEOM:] = np.column_stack([aset.l, aset.w, aset.h,
-                                            np.full(len(aset), aset.layout.z_center)])
+    # each blank anchor's (l, w, h) as its index in the layout's lattice dims
+    dims = _lattice_dims(aset.layout)
+    lwh = [a[blank] for a in (aset.l, aset.w, aset.h)]
+    dim = np.zeros(len(blank), dtype=np.int64)
+    for j, d in enumerate(dims):
+        dim[(lwh[0] == d[0]) & (lwh[1] == d[1]) & (lwh[2] == d[2])] = j
+    _, first, at = np.unique(keys[blank] * len(dims) + dim, return_index=True,
+                             return_inverse=True)
+    rows = np.empty((len(occ) + len(first), feature_length(spec.num_slices, pool_blocks)))
+    for k, i in enumerate(blank[first], len(occ)):
+        rows[k] = featurize(grid, aset.box(int(i)), pool_blocks)
+    slot = np.empty(len(aset), dtype=np.intp)
+    slot[occ] = np.arange(len(occ))
+    slot[blank] = len(occ) + at
+    del blank, dim, lwh, at
+    rows[:len(occ), -FEAT_GEOM:] = np.column_stack(
+        [aset.l[occ], aset.w[occ], aset.h[occ], np.full(len(occ), aset.layout.z_center)])
+    # from here on r0, c0 and keys are per occupied row
+    r0, c0, keys = r0[occ], c0[occ], keys[occ]
     stack = np.concatenate([grid.heights, grid.density[..., None]], axis=-1)
-    for key in np.unique(keys[~blank]):
-        sel = np.flatnonzero(~blank & (keys == key))
+    for key in np.unique(keys):
+        sel = np.flatnonzero(keys == key)
         n_r, n_c = divmod(int(key), spec.n_cols + 1)
         (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n, pool_blocks))
                                         for n in (n_r, n_c))
@@ -365,9 +407,9 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> np.
                 table, col_at = _reduce_blocks(f, strip, c0[sub, None] - lo + at_c, len_c)
                 stats.append(table[col_at[:, None, :], row_at[:, :, None]])
                 del strip, table  # peak memory: one strip and one block table at a time
-            feat[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
+            rows[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
                                                      spec.z_min)
-    return feat
+    return AnchorFeatures(rows, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,27 +1060,49 @@ class Detection:
 STAGE1_CELLS = 1 << 20  # hidden activations per stage-1 block in infer (module doc)
 
 
-def _stage1_blocks(p: Stage, x: np.ndarray):
-    """(logits, reg, log_var) of stage1_forward over row blocks of
-    STAGE1_CELLS // hidden1 rows, each block's cache dropped before the next;
-    the remainder joins the last block, so fewer than two blocks' rows are
-    one call."""
-    rows = max(1, STAGE1_CELLS // p.w1.shape[1])
-    blocks = np.split(x, range(rows, len(x) - rows + 1, rows))
-    outs = [stage1_forward(p, block)[:3] for block in blocks]
+def _stage1_blocks(p: Stage, x: np.ndarray, slot: Optional[np.ndarray] = None):
+    """(logits, reg, log_var) of stage1_forward over the anchor rows ``x[slot]``
+    (``x`` itself when slot is None), scored in blocks of STAGE1_CELLS //
+    hidden1 rows; each block's rows are gathered on their own and its cache is
+    dropped before the next, so no (N, F) matrix is built.
+
+    The row rule: if the distinct rows ``x``, zero-padded up to whole blocks,
+    are fewer than the N anchors, those blocks are scored and the outputs
+    mapped back through slot. Otherwise the N anchor rows are scored, the
+    remainder joined to the last block, so fewer than two blocks' rows are one
+    call. So no more than N rows are scored, and compact rows are scored only
+    in whole blocks, never in a shorter product that would fall into
+    OpenBLAS's small-matrix kernel: both sides keep the bits of one call over
+    all anchor rows (module doc)."""
+    size = max(1, STAGE1_CELLS // p.w1.shape[1])
+    n = len(x) if slot is None else len(slot)
+    padded = -(-len(x) // size) * size
+    outs = []
+    if padded < n:
+        for i in range(0, padded, size):
+            block = x[i:i + size]
+            if len(block) < size:
+                block = np.concatenate([block, np.zeros((size - len(block),) + x.shape[1:])])
+            outs.append(stage1_forward(p, block)[:3])
+        return tuple(np.concatenate(out)[slot] for out in zip(*outs))
+    edges = [0, *range(size, n - size + 1, size), n]
+    for a, b in zip(edges[:-1], edges[1:]):
+        outs.append(stage1_forward(p, x[a:b] if slot is None else x[slot[a:b]])[:3])
     return tuple(np.concatenate(out) for out in zip(*outs))
 
 
 def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
-          frame_id: str = "", anchor_feats: Optional[np.ndarray] = None) -> list:
+          frame_id: str = "", anchor_feats: Optional[AnchorFeatures] = None) -> list:
     """Score anchors, keep proposals through NMS, refine with stage 2.
 
     Deterministic: no dropout at inference, stable orderings throughout.
-    Stage 1 runs over row blocks of STAGE1_CELLS hidden activations (see
-    the module doc), which bounds its temporaries whatever the anchor
-    count and keeps the bits of one call over all anchors.
-    anchor_feats, when given, must be anchor_features() for this grid and
-    the model's layout; it skips featurizing the grid again when several
+    Stage 1 scores the compact rows of ``anchor_features``, or the anchor
+    rows, whichever are fewer once padded to whole blocks of STAGE1_CELLS
+    hidden activations (``_stage1_blocks``, module doc). That bounds its
+    temporaries whatever the anchor count, and keeps the bits of one call
+    over all anchors. anchor_feats, when given, must be anchor_features()
+    for this grid and the model's layout (ShapeError when it covers another
+    number of anchors); it skips featurizing the grid again when several
     parameter sets are scored on one grid.
     """
     layout = params.layout()
@@ -1046,7 +1110,10 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     aset = build_anchor_set(layout, grid.spec)
     x = anchor_feats if anchor_feats is not None else anchor_features(
         grid, aset, pool_blocks)
-    logits, reg, lv = _stage1_blocks(params.stage1, x)
+    if len(x) != len(aset):
+        raise ShapeError(f"anchor_feats covers {len(x)} anchors, but the model's "
+                         f"anchor set on this grid has {len(aset)}")
+    logits, reg, lv = _stage1_blocks(params.stage1, x.rows, x.slot)
     scores = softmax(logits)[:, 1]
     order = np.argsort(-scores, kind="stable")[:icfg.pre_nms_top]
     proposals = [decode_rpn(aset.box(int(i)), reg[i]) for i in order]

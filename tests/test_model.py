@@ -1,5 +1,6 @@
 """Two-stage detector: features, parameters, optimizer, training, inference."""
 
+import functools
 import math
 import re
 import struct
@@ -269,10 +270,10 @@ class TestAnchors:
         aset = build_anchor_set(layout, spec)
         feats = anchor_features(grid, aset, pool_blocks=3)
         want = np.stack([featurize(grid, aset.box(i), 3) for i in range(len(aset))])
-        np.testing.assert_allclose(feats, want, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(feats[:], want, rtol=0.0, atol=1e-9)
         # a subset in any order pools as the whole set does
         idx = rng.permutation(len(aset))[:300]
-        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3), feats[idx])
+        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3)[:], feats[idx])
 
     def test_anchor_features_equal_featurize_bit_for_bit(self):
         # the lattice path and featurize run the same reductions in the same order
@@ -280,7 +281,7 @@ class TestAnchors:
         aset = build_anchor_set(self.LAYOUT, SMALL)
         for blocks in (1, 2, 3, 4):
             want = np.stack([featurize(grid, aset.box(i), blocks) for i in range(len(aset))])
-            np.testing.assert_array_equal(anchor_features(grid, aset, blocks), want)
+            np.testing.assert_array_equal(anchor_features(grid, aset, blocks)[:], want)
 
     def test_anchor_features_equal_featurize_bit_for_bit_at_fine_resolution(self):
         # at 0.1 m the 4.4 m side pools 15- and 14-cell blocks, whose sums take
@@ -294,10 +295,10 @@ class TestAnchors:
         layout = AnchorLayout(shapes=((4.4, 1.6, 1.5), (3.9, 1.7, 1.5)), stride=4)
         aset = build_anchor_set(layout, spec)
         want = np.stack([featurize(grid, aset.box(i), 3) for i in range(len(aset))])
-        np.testing.assert_array_equal(anchor_features(grid, aset, 3), want)
+        np.testing.assert_array_equal(anchor_features(grid, aset, 3)[:], want)
         # a sparse subset, as build_training_set pools per scene
         idx = rng.choice(len(aset), 64, replace=False)
-        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3), want[idx])
+        np.testing.assert_array_equal(anchor_features(grid, aset.take(idx), 3)[:], want[idx])
 
     def test_anchor_features_peak_memory_is_small_against_its_output(self):
         # the paper's range at 0.2 m: 350 x 400 cells, 34,800 anchors; no
@@ -317,7 +318,8 @@ class TestAnchors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * feats.nbytes
+        # the dense (N, F) float64 matrix is no longer built: the bound is against it
+        assert peak < 2.5 * len(aset) * feats.rows.shape[1] * 8
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
@@ -437,7 +439,7 @@ class TestBlankWindows:
         grid = rasterize(PointCloud(np.zeros((0, 4)), "t"), self.SPEC)
         feats = assert_rows_bitwise(grid, build_anchor_set(self.LAYOUT, self.SPEC))
         # the mean of n sentinels is not z_min for every block length
-        assert (feats[:, :-4] != self.SPEC.z_min).any()
+        assert (feats[:][:, :-4] != self.SPEC.z_min).any()
 
     def test_shuffled_subset_pools_as_the_whole_set(self):
         spec = self.SPEC
@@ -447,7 +449,7 @@ class TestBlankWindows:
         aset = build_anchor_set(self.LAYOUT, spec)
         idx = np.random.default_rng(12).permutation(len(aset))[:400]
         feats = assert_rows_bitwise(grid, aset.take(idx))
-        np.testing.assert_array_equal(feats.view(np.uint64),
+        np.testing.assert_array_equal(feats[:].view(np.uint64),
                                       anchor_features(grid, aset, 3)[idx].view(np.uint64))
 
 
@@ -833,7 +835,7 @@ class TestTrainingSet:
             np.testing.assert_array_equal(pack.rpn_cls, [1] * len(pos) + [0] * len(neg))
             np.testing.assert_array_equal(
                 pack.x1, anchor_features(rasterize(scene.cloud, spec),
-                                         aset.take(pos + neg), cfg.pool_blocks))
+                                         aset.take(pos + neg), cfg.pool_blocks)[:])
             for row, (a, j) in enumerate(zip(pos, truth)):
                 np.testing.assert_array_equal(pack.rpn_reg[row],
                                               encode_rpn(aset.box(a), envs[j]))
@@ -1074,6 +1076,51 @@ class TestInference:
         assert infer(params, grid, InferConfig(score_min=1.0)) == []
 
 
+# Detection drift when a model goes through the float32 blob. The worst
+# drifts over 30 training seeds (the protocol of the test below) were 3.9e-5 m
+# in a box field, 1.1e-6 rad in yaw, 1.2e-7 in score and 2.9e-8 in a
+# log-variance; each bound is about ten times that.
+BLOB_DRIFT = dict(box=1e-4, yaw=1e-5, score=1e-6, log_var=1e-6)
+
+
+class TestBlobDrift:
+    def test_float32_blob_detection_drift_is_bounded(self, tmp_path):
+        # A detection has a counterpart when the other list holds one centred
+        # within 1 mm. Blank anchor windows of one size pool to one row, so
+        # their proposals tie in score exactly, and the rank cuts pick among
+        # them by index; a last-bit change elsewhere can move which of them
+        # survive (seed 3: 4 of 29 detections). So a detection without a
+        # counterpart must tie in score with another one of its own list.
+        def fields(d):
+            b = d.box
+            return (np.array([b.cx, b.cy, b.cz, b.l, b.w, b.h]), b.yaw, d.score,
+                    np.concatenate([d.rpn_log_var, d.loc_log_var, d.orient_log_var]))
+
+        for seed in range(5):
+            cfg = TrainConfig(seed=seed, hidden1=16, hidden2=16, phase1_steps=60,
+                              phase2_steps=120, decay_every=60, pool_blocks=2)
+            scenes = generate_scenes(replace(SCENE_SPEC, seed=50 + seed), 4)
+            params, _ = train(build_training_set(scenes, LAYOUT_SMOKE, SCENE_SPEC.range_spec,
+                                                 cfg), cfg, LAYOUT_SMOKE)
+            save_params(params, tmp_path / "m.bin")
+            back = load_params(tmp_path / "m.bin")
+            for scene in generate_scenes(replace(SCENE_SPEC, seed=500 + seed), 4):
+                grid = rasterize(scene.cloud, SCENE_SPEC.range_spec)
+                a, b = infer(params, grid), infer(back, grid)
+                assert a
+                for mine, other in ((a, b), (b, a)):
+                    for d in mine:
+                        far = [math.hypot(d.box.cx - e.box.cx, d.box.cy - e.box.cy)
+                               for e in other]
+                        if min(far, default=1.0) > 1e-3:
+                            assert sum(abs(e.score - d.score) <= 1e-12 for e in mine) > 1
+                            continue
+                        e = other[int(np.argmin(far))]
+                        drift = [np.abs(x - y).max() for x, y in zip(fields(d), fields(e))]
+                        assert all(v <= bound for v, bound
+                                   in zip(drift, BLOB_DRIFT.values())), drift
+
+
 class TestStage1Blocks:
     @pytest.mark.parametrize("hidden1", [16, 64, 256])
     def test_blocks_equal_one_call_bit_for_bit(self, hidden1):
@@ -1116,6 +1163,140 @@ class TestStage1Blocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * STAGE1_CELLS
+
+
+def perturbed_params(hidden1, feat_len, layout, rng):
+    """init_params with every stage-1 weight perturbed, so no output is trivial."""
+    params = init_params(TrainConfig(hidden1=hidden1, hidden2=4), feat_len, layout)
+    stage = params.stage1
+    for w in [stage.w1, *(getattr(stage, f"w_{head}") for head, _, _ in stage.heads)]:
+        w += rng.normal(0.0, 0.3, w.shape)
+    return params
+
+
+# the scene laws of the benchmark's workloads (perfbench/workloads.py)
+BENCH_SCENE = dict(num_cars=6, x_min=20.0, point_budget=1000, density_exponent=1.2)
+FULL_SCENE = dict(BENCH_SCENE, num_cars=24, x_min=4.0, x_max=66.0, y_min=-36.0, y_max=36.0)
+LAYOUT_TWO = AnchorLayout(shapes=((3.9, 1.6, 1.5), (4.6, 1.9, 1.6)))
+
+
+@functools.lru_cache(maxsize=None)
+def compact_case(name):
+    """(grid, anchor set, anchor_features) of one compact-rows case."""
+    bench, zmin = DEFAULT_SCENE_RANGE, replace(DEFAULT_SCENE_RANGE, z_min=-0.3, z_max=2.2)
+    if name == "dense_cloud":
+        rng, n = np.random.default_rng(5), 20000
+        cloud = PointCloud(np.column_stack([rng.uniform(0, 56, n), rng.uniform(-20, 20, n),
+                                            rng.uniform(0, 2.5, n), rng.random(n)]), "t")
+        spec = bench
+    elif name == "empty_cloud":
+        cloud, spec = PointCloud(np.zeros((0, 4)), "t"), bench
+    else:
+        spec, law = {"full_law": (RangeSpec(), FULL_SCENE), "z_min": (zmin, BENCH_SCENE)
+                     }.get(name, (bench, BENCH_SCENE))
+        cloud = generate_scenes(SceneSpec(seed=301, range_spec=spec, **law), 1)[0].cloud
+    grid = rasterize(cloud, spec)
+    aset = build_anchor_set(LAYOUT_TWO, spec)
+    if name == "subset":
+        aset = aset.take(np.random.default_rng(9).permutation(len(aset))[:9000])
+    return grid, aset, anchor_features(grid, aset, 3)
+
+
+@pytest.fixture
+def stage1_rows(monkeypatch):
+    """The row count of every stage1_forward call from here on."""
+    scored = []
+
+    def counted(p, x, mask=None):
+        scored.append(len(x))
+        return stage1_forward(p, x, mask)
+
+    monkeypatch.setattr("lidardet.model.stage1_forward", counted)
+    return scored
+
+
+COMPACT_CASES = ["full_law", "bench_law", "dense_cloud", "z_min", "empty_cloud", "subset"]
+
+
+class TestCompactRows:
+    """anchor_features returns the distinct rows and a slot per anchor, and
+    stage 1 scores the compact rows, padded to whole blocks, when they are
+    fewer than the anchors, else the anchor rows. Both equal the dense path
+    bit for bit: every row against featurize, and the stage-1 outputs against
+    _stage1_blocks over the gathered (N, F) anchor rows, which
+    TestStage1Blocks holds equal to one call."""
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_rows_equal_featurize_bit_for_bit(self, name):
+        grid, aset, feats = compact_case(name)
+        assert len(feats) == len(aset) and feats.rows.shape[0] <= len(aset)
+        if name == "dense_cloud":
+            assert feats.rows.shape[0] > 0.9 * len(aset)
+        else:
+            assert feats.rows.shape[0] < 0.2 * len(aset)
+        # every distinct row through its first anchor, and a seeded sample of
+        # the slots
+        first = np.unique(feats.slot, return_index=True)[1]
+        sample = np.random.default_rng(3).choice(len(aset), 2000, replace=False)
+        assert_rows_bitwise(grid, aset, 3, np.union1d(first, sample))
+
+    @pytest.mark.parametrize("hidden1", [64, 256])
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_stage1_equals_the_dense_path_bit_for_bit(self, name, hidden1, stage1_rows):
+        _, aset, feats = compact_case(name)
+        stage = perturbed_params(hidden1, feats.rows.shape[1], LAYOUT_TWO,
+                                 np.random.default_rng(hidden1)).stage1
+        want = _stage1_blocks(stage, feats[:])
+        stage1_rows.clear()
+        got = _stage1_blocks(stage, feats.rows, feats.slot)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        # never more rows than anchors: the padded compact rows when fewer,
+        # else the anchor rows
+        block = STAGE1_CELLS // hidden1
+        padded = -(-feats.rows.shape[0] // block) * block
+        assert sum(stage1_rows) == min(padded, len(aset))
+        # 16,384-row blocks: only the full frame's 140,000 anchors outnumber
+        # one block; 4,096-row blocks: every case but the dense cloud
+        compact = name == "full_law" or (hidden1 == 256 and name != "dense_cloud")
+        assert (sum(stage1_rows) < len(aset)) == compact
+
+    def test_infer_scores_one_padded_block_or_the_anchor_rows(self, stage1_rows):
+        for name, want in (("full_law", [STAGE1_CELLS // 64]), ("bench_law", [14000])):
+            grid, aset, feats = compact_case(name)
+            params = perturbed_params(64, feats.rows.shape[1], LAYOUT_TWO,
+                                      np.random.default_rng(4))
+            stage1_rows.clear()
+            infer(params, grid, anchor_feats=feats)
+            assert stage1_rows == want and want[0] <= len(aset)
+
+    def test_paper_grid_frame_peak_memory_is_a_fraction_of_the_dense_rows(self):
+        # detect_full's car-only scene law, 140,000 anchors: the compact rows,
+        # the per-anchor index arrays and the (700, 800, 6) grid stack, no
+        # (N, F) matrix. Measured 0.33-0.40 of N * F * 8 bytes over scene
+        # seeds 300-311.
+        spec = RangeSpec()
+        grid = rasterize(generate_scenes(SceneSpec(seed=301, range_spec=spec, **FULL_SCENE),
+                                         1)[0].cloud, spec)
+        aset = build_anchor_set(LAYOUT_TWO, spec)
+        tracemalloc.start()
+        try:
+            feats = anchor_features(grid, aset, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * len(aset) * feats.rows.shape[1] * 8
+
+    def test_features_of_another_anchor_set_are_rejected(self):
+        grid, aset, _ = compact_case("bench_law")
+        params = init_params(TrainConfig(hidden2=4), feature_length(5, 3), LAYOUT_TWO)
+        assert len(aset) == 14000
+        for shapes, n in ((LAYOUT_TWO.shapes[:1], 7000), (LAYOUT_TWO.shapes * 2, 28000)):
+            feats = anchor_features(grid, build_anchor_set(AnchorLayout(shapes=shapes),
+                                                           grid.spec), 3)
+            assert len(feats) == n
+            with pytest.raises(ShapeError, match=f"covers {n} anchors.* has 14000"):
+                infer(params, grid, anchor_feats=feats)
 
 
 class TestDetectionIO:
