@@ -27,6 +27,12 @@
 # dets_paper_h1024/: 1,024-row blocks), so that stage 1 over the compact rows
 # of anchor_features, padded to whole blocks, is compared with stage 1 over
 # the anchor rows: one block per scene, and two to four.
+# Each side also runs anchor_features + infer with model.bin over the 20
+# scenes on one anchor set per grid, reused from scene to scene as the
+# benchmark's frame loop does, on quick.cfg's raster (dets_cross/) and on
+# the paper's grid (dets_cross_paper/), so that the feature rows of blank
+# windows kept from earlier frames are compared; CLI infer builds a fresh
+# anchor set for every scene.
 # Each side also rasterizes scene_0000 with an empty defaults.cfg
 # (grid_default.bin), so that the default grid, the paper's 700 x 800 cells
 # at 0.1 m, is compared.
@@ -108,6 +114,7 @@ pipeline() {  # <source tree> <output dir>
         ldet rasterize --cloud scenes/scene_0000.bin --spec defaults.cfg \
             --out grid_default.bin
         PYTHONPATH="$src" python3 "$tmp/pools.py" > pools.sha256
+        PYTHONPATH="$src" python3 "$tmp/cross_frame.py"
     ) > "$out/stdout.txt" || { echo "pipeline failed on $1" >&2; exit 2; }
 }
 
@@ -149,6 +156,33 @@ for name, parts, seed in SPLITS:
         digest.update(repr((arr.dtype.str, arr.shape)).encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     print(name, digest.hexdigest())
+PY
+
+# Detections of model.bin over the scenes with one anchor set per grid, the
+# features of each scene computed on the anchor set the scenes before used.
+cat > "$tmp/cross_frame.py" <<'PY'
+from pathlib import Path
+
+from lidardet.bevraster import rasterize
+from lidardet.config import load_config, make_infer_config, make_range_spec
+from lidardet.model import (anchor_features, build_anchor_set, infer, load_params,
+                            save_detections)
+from lidardet.synthgen import load_scene, scene_names
+
+params = load_params("model.bin")
+names = scene_names("scenes")
+for config, out in (("quick.cfg", "dets_cross"), ("paper.cfg", "dets_cross_paper")):
+    cfg = load_config(config)
+    spec, icfg = make_range_spec(cfg), make_infer_config(cfg)
+    aset = build_anchor_set(params.layout(), spec)
+    Path(out).mkdir()
+    for name in names:
+        scene = load_scene("scenes", name)
+        grid = rasterize(scene.cloud, spec)
+        feats = anchor_features(grid, aset, params.pool_blocks)
+        dets = infer(params, grid, icfg, frame_id=scene.cloud.frame_id, anchor_feats=feats)
+        save_detections(dets, Path(out) / f"{name}_dets.csv")
+    print(f"{out}: {len(names)} scenes on one anchor set of {len(aset)} anchors")
 PY
 
 # Largest absolute difference between the numeric cells of two CSV files.

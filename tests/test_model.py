@@ -29,6 +29,7 @@ from lidardet.model import (LV_CLIP, STAGE1_CELLS, STAGE1_HEADS, STAGE2_HEADS,
                             stage1_forward, stage2_backward, stage2_forward,
                             train)
 from lidardet.model import _block_spans, _pool_stats, _reduce_blocks, _stage1_blocks
+from lidardet.model import _top_k as model_top_k
 from lidardet.pcio import PointCloud
 from lidardet.synthgen import DEFAULT_SCENE_RANGE, SceneSpec, generate_scenes
 
@@ -451,6 +452,96 @@ class TestBlankWindows:
         feats = assert_rows_bitwise(grid, aset.take(idx))
         np.testing.assert_array_equal(feats[:].view(np.uint64),
                                       anchor_features(grid, aset, 3)[idx].view(np.uint64))
+
+    @pytest.mark.parametrize("spec, layout", [
+        (SPEC, LAYOUT), (FULL, AnchorLayout(shapes=((3.9, 1.6, 1.5), (4.6, 1.9, 1.6)))),
+        (RangeSpec(0.0, 16.0, -8.0, 8.0, 0.0, 2.5, 0.5, 5, 0.5),
+         AnchorLayout(shapes=((4.0, 4.0, 1.5), (30.0, 2.0, 1.0)), stride=2))])
+    def test_window_plan_is_each_anchors_clipped_window(self, spec, layout):
+        # the plan, built per lattice row and column, against each anchor's own
+        # window; one code per distinct (clipped rows, clipped cols, lattice
+        # dims); a square shape's two bins are two lattice dims of one l, w, h
+        aset = build_anchor_set(layout, spec)
+        res = spec.xy_resolution
+        r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
+        c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
+        r0, c0 = np.maximum(r0, 0), np.maximum(c0, 0)
+        n_r = np.minimum(r1, spec.n_rows - 1) - r0 + 1
+        n_c = np.minimum(c1, spec.n_cols - 1) - c0 + 1
+        for got, want in ((aset.r0, r0), (aset.c0, c0), (aset.n_r, n_r), (aset.n_c, n_c)):
+            np.testing.assert_array_equal(got, want)
+        n_dims = 2 * len(layout.shapes)
+        keys = np.column_stack([n_r, n_c, np.repeat(np.arange(n_dims), len(aset) // n_dims)])
+        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+        assert aset.code.max() + 1 == len(distinct)
+        # the same grouping: one code per key and one key per code
+        assert len(set(zip(aset.code.tolist(), inverse.reshape(-1).tolist()))) == len(distinct)
+        sub = np.random.default_rng(1).permutation(len(aset))[:200]
+        np.testing.assert_array_equal(aset.take(sub).code, aset.code[sub])
+
+    def frames(self):
+        """Grids of different occupancy on SPEC: three scenes, empty, dense."""
+        spec, rng, n = self.SPEC, np.random.default_rng(31), 20000
+        scenes = generate_scenes(SceneSpec(seed=21, num_cars=3, x_min=2.0, x_max=14.0,
+                                           y_min=-6.0, y_max=6.0, range_spec=spec), 3)
+        pts = np.column_stack([rng.uniform(0.0, 10.0, n), rng.uniform(-8.0, 8.0, n),
+                               rng.uniform(-0.3, 2.2, n), rng.random(n)])
+        return ([rasterize(scene.cloud, spec) for scene in scenes] + [self.blank_grid()]
+                + [rasterize(PointCloud(pts, "t"), spec)])
+
+    def test_kept_blank_rows_equal_featurize_across_frames(self):
+        # one anchor set over frames of different occupancy, pool_blocks 2 and 3
+        # in turn: the blank rows it keeps from earlier frames, and those of a
+        # shuffled subset that shares them, still equal featurize bit for bit
+        aset = build_anchor_set(self.LAYOUT, self.SPEC)
+        sub = aset.take(np.random.default_rng(5).permutation(len(aset))[:500])
+        assert sub.blank_rows is aset.blank_rows
+        for grid in self.frames():
+            for blocks in (2, 3):
+                assert_rows_bitwise(grid, aset, blocks)
+                assert_rows_bitwise(grid, sub, blocks)
+        assert sorted(aset.blank_rows) == [2, 3]
+
+    def test_featurize_runs_only_for_blank_codes_not_seen_before(self, monkeypatch):
+        spec = self.SPEC
+        aset = build_anchor_set(self.LAYOUT, spec)
+        res = spec.xy_resolution
+        r0, r1 = cell_range(aset.cx - 0.5 * aset.l, aset.cx + 0.5 * aset.l, spec.x_min, res)
+        c0, c1 = cell_range(aset.cy - 0.5 * aset.w, aset.cy + 0.5 * aset.w, spec.y_min, res)
+        r0, c0 = np.maximum(r0, 0), np.maximum(c0, 0)
+        r1, c1 = np.minimum(r1, spec.n_rows - 1), np.minimum(c1, spec.n_cols - 1)
+
+        def blank_keys(grid):
+            """(clipped rows, clipped cols, l, w, h) of each point-free window."""
+            occupied = (grid.density != 0) | (grid.heights != spec.z_min).any(axis=-1)
+            return {(b - a, d - c, aset.l[i], aset.w[i], aset.h[i])
+                    for i, (a, b, c, d) in enumerate(zip(r0, r1, c0, c1))
+                    if not occupied[a:b + 1, c:d + 1].any()}
+
+        calls = []
+
+        def counted(grid, box, pool_blocks=3):
+            calls.append(pool_blocks)
+            return featurize(grid, box, pool_blocks)
+
+        monkeypatch.setattr("lidardet.model.featurize", counted)
+        scene_a, scene_b, scene_c, empty, _ = self.frames()
+        seen, new = set(), []
+        for grid in (scene_a, scene_b, scene_a, scene_c, empty, scene_b):
+            keys = blank_keys(grid)
+            calls.clear()
+            anchor_features(grid, aset, 3)
+            assert calls == [3] * len(keys - seen)
+            new.append((len(keys - seen), len(keys)))
+            seen |= keys
+        # the first frame computes every blank row; later ones reuse some and
+        # add some, or none at all
+        assert new[0][0] == new[0][1] > 0 and new[2][0] == new[5][0] == 0
+        assert any(0 < n < of for n, of in new[1:])
+        # another pool_blocks keeps its own rows
+        calls.clear()
+        anchor_features(scene_a, aset, 2)
+        assert calls == [2] * len(blank_keys(scene_a))
 
 
 class TestForwardBackward:
@@ -1133,8 +1224,8 @@ class TestStage1Blocks:
         for n in (rows - 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, 3 * rows + 5):
             x = rng.normal(size=(n, 24))
             want = stage1_forward(stage, x)[:3]
-            got = _stage1_blocks(stage, x)
-            assert len(got) == 3
+            *got, index = _stage1_blocks(stage, x)
+            assert len(got) == 3 and index is None
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -1246,9 +1337,14 @@ class TestCompactRows:
         _, aset, feats = compact_case(name)
         stage = perturbed_params(hidden1, feats.rows.shape[1], LAYOUT_TWO,
                                  np.random.default_rng(hidden1)).stage1
-        want = _stage1_blocks(stage, feats[:])
+        *want, index = _stage1_blocks(stage, feats[:])
+        assert index is None
         stage1_rows.clear()
-        got = _stage1_blocks(stage, feats.rows, feats.slot)
+        *got, index = _stage1_blocks(stage, feats.rows, feats.slot)
+        # the outputs over the scored rows, gathered through the returned index
+        if index is not None:
+            assert index is feats.slot
+            got = [a[index] for a in got]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
         # never more rows than anchors: the padded compact rows when fewer,
@@ -1297,6 +1393,66 @@ class TestCompactRows:
             assert len(feats) == n
             with pytest.raises(ShapeError, match=f"covers {n} anchors.* has 14000"):
                 infer(params, grid, anchor_feats=feats)
+
+    def test_features_of_another_layout_or_spec_are_rejected(self):
+        # as many anchors as the model's set, but of another layout, or on a
+        # grid of another spec: the features belong to other anchor windows
+        grid, aset, _ = compact_case("bench_law")
+        params = init_params(TrainConfig(hidden2=4), feature_length(5, 3), LAYOUT_TWO)
+        other = AnchorLayout(shapes=((4.2, 1.8, 1.6), (3.5, 1.5, 1.4)))
+        feats = anchor_features(grid, build_anchor_set(other, grid.spec), 3)
+        assert len(feats) == len(aset) == 14000
+        with pytest.raises(ShapeError, match=r"covers 14000 anchors of AnchorLayout\(shapes="
+                                             r"\(\(4.2, .* has 14000 of AnchorLayout\(shapes="
+                                             r"\(\(3.9, "):
+            infer(params, grid, anchor_feats=feats)
+        zmin_grid, zmin_aset, zmin_feats = compact_case("z_min")
+        assert zmin_aset.spec != grid.spec and len(zmin_feats) == 14000
+        with pytest.raises(ShapeError, match="z_min=-0.3.* has 14000 .* z_min=0.0"):
+            infer(params, grid, anchor_feats=zmin_feats)
+        # on its own grid the model takes them
+        infer(params, zmin_grid, anchor_feats=zmin_feats)
+
+    def test_grid_of_another_spec_is_rejected(self):
+        # the anchor set's window plan is computed for its own spec
+        spec = RangeSpec(xy_resolution=0.2)
+        coarse = RangeSpec(xy_resolution=0.25)
+        aset = build_anchor_set(LAYOUT_TWO, spec)
+        grid = rasterize(PointCloud(np.zeros((0, 4)), "t"), coarse)
+        with pytest.raises(ShapeError, match=r"grid is on RangeSpec\(.*xy_resolution=0.25.*"
+                                             r"anchor set on RangeSpec\(.*xy_resolution=0.2,"):
+            anchor_features(grid, aset, 3)
+
+
+class TestTopK:
+    """_top_k picks exactly np.argsort(-scores, kind="stable")[:k]."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(8)
+        # stage-1 scores of shared blank rows: a few values over many anchors
+        tied = rng.choice(rng.random(6), 20000)
+        tied[rng.choice(20000, 300, replace=False)] = rng.random(300)
+        nan = rng.random(5000)
+        nan[rng.choice(5000, 700, replace=False)] = np.nan
+        mostly_nan = np.full(400, np.nan)
+        mostly_nan[[3, 17, 250]] = [0.5, 0.5, 0.9]
+        zeros = np.where(rng.random(3000) < 0.5, 0.0, -0.0)
+        zeros[::7] = rng.random(len(zeros[::7]))
+        return {"tied": tied, "all_equal": np.full(1000, 0.25), "nan": nan,
+                "mostly_nan": mostly_nan, "signed_zeros": zeros,
+                "distinct": rng.random(7000)}
+
+    @pytest.mark.parametrize("name", ["tied", "all_equal", "nan", "mostly_nan",
+                                      "signed_zeros", "distinct"])
+    def test_equals_the_stable_argsort(self, name):
+        scores = self.cases()[name]
+        n = len(scores)
+        for k in (1, 2, 10, 512, n // 2, n - 1, n, n + 1, 3 * n):
+            want = np.argsort(-scores, kind="stable")[:k]
+            got = model_top_k(scores, k)
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDetectionIO:
