@@ -35,7 +35,8 @@
 # anchor set for every scene.
 # Each side also rasterizes scene_0000 with an empty defaults.cfg
 # (grid_default.bin), so that the default grid, the paper's 700 x 800 cells
-# at 0.1 m, is compared.
+# at 0.1 m, is compared, and rasterizes an empty (0-byte) cloud with quick.cfg
+# (grid_empty.bin), so that a grid with no point is compared.
 # Each side also writes pools.sha256: one sha256 of the build_training_set packs per
 # training split of acceptance criteria 7, 8 (five seeds) and 9, and of two
 # more splits (twelve cars per scene; car-free scenes among others).
@@ -113,6 +114,7 @@ pipeline() {  # <source tree> <output dir>
         ldet rasterize --cloud scenes/scene_0000.bin --spec quick.cfg --out grid.bin
         ldet rasterize --cloud scenes/scene_0000.bin --spec defaults.cfg \
             --out grid_default.bin
+        ldet rasterize --cloud "$tmp/empty.bin" --spec quick.cfg --out grid_empty.bin
         PYTHONPATH="$src" python3 "$tmp/pools.py" > pools.sha256
         PYTHONPATH="$src" python3 "$tmp/cross_frame.py"
     ) > "$out/stdout.txt" || { echo "pipeline failed on $1" >&2; exit 2; }
@@ -210,6 +212,7 @@ note = "" if shapes[0] == shapes[1] else f" (rows x columns {shapes[0]} vs {shap
 print(f"{name}: largest absolute numeric difference {worst!r}{note}")
 PY
 
+: > "$tmp/empty.bin"
 pipeline "$tmp/ref-tree" "$tmp/ref"
 pipeline "$repo" "$tmp/work"
 

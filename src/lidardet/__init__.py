@@ -23,8 +23,8 @@ from .losses import (LossBreakdown, attenuated_term, cross_entropy, multi_loss,
 from .metrics import EvalResult, MatchResult, average_precision, evaluate, match
 from .model import (AnchorLayout, Detection, InferConfig, ModelParams,
                     TrainConfig, anchor_features, build_anchor_set,
-                    build_training_set, detect_scenes, featurize, gradcheck,
-                    infer, init_params, load_params, save_params, train)
+                    build_training_set, featurize, gradcheck, infer,
+                    init_params, load_params, save_params, train)
 from .pcio import (Difficulty, GroundTruthObject, ObjectClass, PointCloud,
                    load_cloud, load_labels, save_cloud, save_labels)
 from .synthgen import (ObjectNoise, SceneSpec, SyntheticScene, difficulty_of,

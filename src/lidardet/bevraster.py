@@ -1,10 +1,11 @@
 """BEV rasterization: per-slice max-height maps plus a log-scaled density map.
 
-The grid is row-major with ``row`` indexing x (forward) and ``col``
-indexing y (lateral). Height slices hold the maximum absolute z of the
-points falling in each cell and slice; empty cells carry the ``z_min``
-sentinel. Density is ``min(1, ln(N + 1) / ln 16)`` for the per-cell point
-count N over all slices, so 15 points saturate a cell.
+The grid is one row-major (H, W, S + 1) array, ``row`` indexing x (forward)
+and ``col`` indexing y (lateral); per cell, S height slices, then density.
+Height slices hold the maximum absolute z of the points falling in each
+cell and slice; empty cells carry the ``z_min`` sentinel. Density is
+``min(1, ln(N + 1) / ln 16)`` for the per-cell point count N over all
+slices, so 15 points saturate a cell.
 """
 
 from __future__ import annotations
@@ -78,13 +79,23 @@ class RangeSpec:
 
 @dataclass
 class BevGrid:
-    heights: np.ndarray  # (H, W, S); z_min sentinel where a cell slice is empty
-    density: np.ndarray  # (H, W) in [0, 1]
+    """``cells`` (H, W, S + 1): the height slices, z_min where a cell slice is
+    empty, then density in [0, 1]. ``heights`` and ``density`` are views of it."""
+
+    cells: np.ndarray
     spec: RangeSpec
 
     @property
+    def heights(self) -> np.ndarray:
+        return self.cells[..., :-1]
+
+    @property
+    def density(self) -> np.ndarray:
+        return self.cells[..., -1]
+
+    @property
     def channels(self) -> int:
-        return self.spec.num_slices + 1
+        return self.cells.shape[-1]
 
 
 def rasterize(pc: PointCloud, spec: RangeSpec) -> BevGrid:
@@ -96,41 +107,34 @@ def rasterize(pc: PointCloud, spec: RangeSpec) -> BevGrid:
     input ordering (and max/count are order-free anyway).
     """
     H, W, S = spec.n_rows, spec.n_cols, spec.num_slices
-    heights = np.full((H, W, S), spec.z_min, dtype=np.float64)
-    counts = np.zeros((H, W), dtype=np.int64)
-
+    cells = np.full((H, W, S + 1), spec.z_min, dtype=np.float64)
     p = pc.points
-    if len(p):
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        keep = ((x >= spec.x_min) & (x < spec.x_max)
-                & (y >= spec.y_min) & (y < spec.y_max)
-                & (z >= spec.z_min) & (z <= spec.z_max))
-        x, y, z = x[keep], y[keep], z[keep]
-        rows = np.floor((x - spec.x_min) / spec.xy_resolution).astype(np.int64)
-        cols = np.floor((y - spec.y_min) / spec.xy_resolution).astype(np.int64)
-        slices = np.floor((z - spec.z_min) / spec.slice_height).astype(np.int64)
-        np.clip(slices, 0, S - 1, out=slices)
-        np.maximum.at(heights, (rows, cols, slices), z)
-        np.add.at(counts, (rows, cols), 1)
-
-    density = np.minimum(1.0, np.log(counts + 1.0) / math.log(16.0))
-    return BevGrid(heights, density, spec)
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    keep = ((x >= spec.x_min) & (x < spec.x_max)
+            & (y >= spec.y_min) & (y < spec.y_max)
+            & (z >= spec.z_min) & (z <= spec.z_max))
+    x, y, z = x[keep], y[keep], z[keep]
+    rows = np.floor((x - spec.x_min) / spec.xy_resolution).astype(np.int64)
+    cols = np.floor((y - spec.y_min) / spec.xy_resolution).astype(np.int64)
+    slices = np.floor((z - spec.z_min) / spec.slice_height).astype(np.int64)
+    np.clip(slices, 0, S - 1, out=slices)
+    cell = rows * W + cols
+    np.maximum.at(cells.reshape(-1), cell * (S + 1) + slices, z)
+    counts = np.bincount(cell, minlength=H * W).reshape(H, W)
+    cells[..., -1] = np.minimum(1.0, np.log(counts + 1.0) / math.log(16.0))
+    return BevGrid(cells, spec)
 
 
 def write_grid(grid: BevGrid, path) -> None:
-    """Binary grid blob: 32-byte header then row-major float32 channels.
-
-    Channels are the height slices followed by the density map.
-    """
+    """Binary grid blob: 32-byte header then ``grid.cells`` as row-major float32."""
     spec = grid.spec
     header = struct.pack(_HEADER_FMT, GRID_MAGIC, GRID_VERSION,
                          spec.n_rows, spec.n_cols, grid.channels,
                          spec.xy_resolution, spec.x_min, spec.y_min)
     assert len(header) == HEADER_BYTES
-    stacked = np.concatenate([grid.heights, grid.density[:, :, None]], axis=2)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(stacked, dtype="<f4").tobytes())
+        fh.write(grid.cells.astype("<f4").tobytes())
 
 
 def read_grid(path):

@@ -34,8 +34,8 @@ last bits of the features, and with them the pool digests and artifacts
 that refactors are checked against.
 
 ``anchor_features`` sorts the anchor windows, clipped to the grid, into two
-kinds. An occupied window holds a cell whose density is not 0 or whose
-heights are not all the ``z_min`` sentinel; it is pooled on the slabs from
+kinds. An occupied window holds a cell that is not the empty cell (every
+height the ``z_min`` sentinel, density 0); it is pooled on the slabs from
 its clipped start, at the border as inside. A blank window pools to a row
 that depends only on its clipped (rows, cols) size, so the blank anchors of
 one size and one (l, w, h) share one row. The result is compact,
@@ -120,13 +120,11 @@ def _block_features(mx, sm, rows, cols, pool_blocks, z_min):
     return out.reshape(mx.shape[:-3] + (-1,))
 
 
-def _pool_stats(heights: np.ndarray, density: np.ndarray, pool_blocks: int,
-                z_min: float) -> np.ndarray:
-    """Pooled block stats over the trailing (R, C[, S]) axes, after any batch axes.
+def _pool_stats(cells: np.ndarray, pool_blocks: int, z_min: float) -> np.ndarray:
+    """Pooled block stats of grid cells (..., R, C, S + 1), after any batch axes.
     Block maxes and sums are reduced over rows, then columns, as in ``anchor_features``."""
-    stack = np.concatenate([heights, density[..., None]], axis=-1)
-    (r_at, rows), (c_at, cols) = (_block_spans(n, pool_blocks) for n in stack.shape[-3:-1])
-    mx, sm = (f.reduceat(f.reduceat(stack, r_at, axis=-3), c_at, axis=-2)
+    (r_at, rows), (c_at, cols) = (_block_spans(n, pool_blocks) for n in cells.shape[-3:-1])
+    mx, sm = (f.reduceat(f.reduceat(cells, r_at, axis=-3), c_at, axis=-2)
               for f in (np.maximum, np.add))
     return _block_features(mx, sm, rows, cols, pool_blocks, z_min)
 
@@ -210,14 +208,10 @@ def featurize(grid: BevGrid, candidate: Box3D, pool_blocks: int = 3) -> np.ndarr
     if x1 < spec.x_min or x0 > spec.x_max or y1 < spec.y_min or y0 > spec.y_max:
         raise OutOfGrid(f"candidate footprint [{x0:.2f},{x1:.2f}]x[{y0:.2f},{y1:.2f}] "
                         "misses the grid")
-    r0, r1 = cell_range(x0, x1, spec.x_min, spec.xy_resolution)
-    c0, c1 = cell_range(y0, y1, spec.y_min, spec.xy_resolution)
-    r0, r1 = max(r0, 0), min(r1, spec.n_rows - 1)
-    c0, c1 = max(c0, 0), min(c1, spec.n_cols - 1)
-    if r0 > r1 or c0 > c1:
+    (r0, c0), (n_r, n_c) = _clipped_windows(spec, env.cx, env.cy, env.l, env.w)
+    if not (n_r and n_c):
         return np.zeros(feature_length(spec.num_slices, pool_blocks))
-    pooled = _pool_stats(grid.heights[r0:r1 + 1, c0:c1 + 1, :],
-                         grid.density[r0:r1 + 1, c0:c1 + 1], pool_blocks, spec.z_min)
+    pooled = _pool_stats(grid.cells[r0:r0 + n_r, c0:c0 + n_c], pool_blocks, spec.z_min)
     geom = np.array([candidate.l, candidate.w, candidate.h, candidate.cz])
     return np.concatenate([pooled, geom])
 
@@ -304,9 +298,10 @@ def _clipped_windows(spec: RangeSpec, cx, cy, l, w):
     res = spec.xy_resolution
     r0, r1 = cell_range(cx - 0.5 * l, cx + 0.5 * l, spec.x_min, res)
     c0, c1 = cell_range(cy - 0.5 * w, cy + 0.5 * w, spec.y_min, res)
-    a0, a1 = np.clip(r0, 0, spec.n_rows), np.clip(r1 + 1, 0, spec.n_rows)
-    b0, b1 = np.clip(c0, 0, spec.n_cols), np.clip(c1 + 1, 0, spec.n_cols)
-    return (a0, b0), (np.maximum(a1, a0) - a0, np.maximum(b1, b0) - b0)
+    # not np.clip, which is slow on the Python ints of featurize
+    r0, c0 = np.minimum(np.maximum(r0, 0), spec.n_rows), np.minimum(np.maximum(c0, 0), spec.n_cols)
+    return (r0, c0), (np.maximum(np.minimum(r1 + 1, spec.n_rows) - r0, 0),
+                      np.maximum(np.minimum(c1 + 1, spec.n_cols) - c0, 0))
 
 
 def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
@@ -349,23 +344,21 @@ def build_anchor_set(layout: AnchorLayout, spec: RangeSpec) -> AnchorSet:
 
 def _occupied_counts(grid: BevGrid, r0, c0, n_r, n_c) -> np.ndarray:
     """The number of occupied cells in each window ``[r0, r0 + n_r) x [c0, c0 +
-    n_c)`` of the grid. A cell is blank when its density is 0 and every height
-    is the ``z_min`` sentinel, compared as bits, so a -0.0 is never a blank
-    0.0. The counts are exact: they come from an integer prefix sum of the
+    n_c)`` of the grid. A cell is blank when its channels equal, as bits, the
+    empty cell's: ``z_min`` in each slice, 0.0 in density (so -0.0 is not).
+    The counts are exact: they come from an integer prefix sum of the
     occupied cells, padded by a zero row and column."""
     spec = grid.spec
-    density, heights = (np.asarray(a, dtype=np.float64).view(np.uint64)
-                        for a in (grid.density, grid.heights))
-    # one contiguous compare, then a slice at a time: 2x faster than comparing
-    # strided slices, 4x faster than any(axis=-1)
-    raised = heights != np.float64(spec.z_min).view(np.uint64)
-    occupied = density != 0
-    for k in range(raised.shape[-1]):
-        occupied |= raised[..., k]
+    bits = np.asarray(grid.cells, dtype=np.float64).view(np.uint64).reshape(-1)
+    blank = np.append(np.full(spec.num_slices, spec.z_min), 0.0).view(np.uint64)
+    # a channel at a time on the flat strided view: faster than any(axis=-1)
+    occupied = bits[::len(blank)] != blank[0]
+    for k in range(1, len(blank)):
+        occupied |= bits[k::len(blank)] != blank[k]
     # int32 holds the count of any grid under 2**31 cells (its heights alone
     # would take over 80 GB), at half the memory traffic of int64
     prefix = np.zeros((spec.n_rows + 1, spec.n_cols + 1), dtype=np.int32)
-    prefix[1:, 1:] = occupied
+    prefix[1:, 1:] = occupied.reshape(spec.n_rows, spec.n_cols)
     np.cumsum(prefix, axis=0, dtype=np.int32, out=prefix)
     np.cumsum(prefix, axis=1, dtype=np.int32, out=prefix)
     # flat indices of each window's top-left and bottom-left prefix corners
@@ -404,9 +397,8 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
     set's window plan, each anchor window clipped to the grid, is computed
     for that spec. Every window is one of two kinds; the geometry columns are
     written apart, so a pooled row depends only on its window. A lattice
-    anchor's window holds its own center cell, so no size is 0. A cell is
-    blank when its density is 0 and every height is the ``z_min`` sentinel,
-    both compared bit for bit; an integer prefix sum of the occupied cells gives
+    anchor's window holds its own center cell, so no size is 0. An integer
+    prefix sum of the cells that are not blank (``_occupied_counts``) gives
     each window's exact occupied-cell count. That sum and its four lookups
     per anchor are the only per-anchor work of a frame.
 
@@ -423,10 +415,10 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
     The row pass reduces each distinct row block once across the chunk's
     columns; the column pass reduces each distinct column block of that strip,
     transposed to (column, row block, channel), for all of the chunk's row
-    blocks at once. Both passes run ``_reduce_blocks``, which adds in
-    reduceat's order (first cell plus the pairwise sum of the rest), so these
-    rows equal ``featurize`` bit for bit. A dense cloud, with every window
-    occupied, has as many rows as anchors."""
+    blocks at once, reading ``grid.cells`` in place. Both passes run
+    ``_reduce_blocks``, which adds in reduceat's order (first cell plus the
+    pairwise sum of the rest), so these rows equal ``featurize`` bit for bit.
+    A dense cloud, with every window occupied, has as many rows as anchors."""
     spec = grid.spec
     if spec != aset.spec:
         raise ShapeError(f"the grid is on {spec}, but the anchor set on {aset.spec}")
@@ -459,7 +451,6 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
     r0, c0 = aset.r0[occ], aset.c0[occ]
     # one int per clipped window size, 50x faster than np.unique(axis=0)
     keys = aset.n_r[occ] * (spec.n_cols + 1) + aset.n_c[occ]
-    stack = np.concatenate([grid.heights, grid.density[..., None]], axis=-1)
     for key in np.unique(keys):
         sel = np.flatnonzero(keys == key)
         n_r, n_c = divmod(int(key), spec.n_cols + 1)
@@ -469,13 +460,14 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
         sel = sel[np.argsort(r0[sel], kind="stable")]
         firsts = np.unique(r0[sel], return_index=True)[1]
         span = c0[sel].max() + n_c - c0[sel].min()
-        per = max(1, SLAB_CELLS // (len(len_r) * span * stack.shape[-1]))
+        per = max(1, SLAB_CELLS // (len(len_r) * span * grid.channels))
         bounds = np.append(firsts[::per], len(sel))
         for sub in (sel[i:j] for i, j in zip(bounds[:-1], bounds[1:])):
             lo, hi = c0[sub].min(), c0[sub].max() + n_c
             stats = []
             for f in (np.maximum, np.add):
-                strip, row_at = _reduce_blocks(f, stack[:, lo:hi], r0[sub, None] + at_r, len_r)
+                strip, row_at = _reduce_blocks(f, grid.cells[:, lo:hi], r0[sub, None] + at_r,
+                                               len_r)
                 # (column, row block, channel): the column pass gathers contiguous rows
                 strip = np.ascontiguousarray(strip.transpose(1, 0, 2))
                 table, col_at = _reduce_blocks(f, strip, c0[sub, None] - lo + at_c, len_c)
@@ -1245,13 +1237,6 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
     final = nms_indices(box_extents([aa_envelope(d.box) for d in dets]),
                         np.array([d.score for d in dets]), icfg.final_nms_threshold)
     return [dets[i] for i in final]
-
-
-def detect_scenes(params: ModelParams, scenes, spec: RangeSpec,
-                  icfg: InferConfig = InferConfig()) -> list:
-    """Run inference over scenes, one detection list per scene."""
-    return [infer(params, rasterize(scene.cloud, spec), icfg, frame_id=scene.cloud.frame_id)
-            for scene in scenes]
 
 
 DET_FIELDS = (["cx", "cy", "cz", "l", "w", "h", "yaw", "score"]

@@ -24,8 +24,7 @@ from lidardet.losses import attenuated_term
 from lidardet.metrics import average_precision, evaluate
 from lidardet.model import (AnchorLayout, InferConfig, TrainConfig,
                             anchor_features, build_anchor_set,
-                            build_training_set, detect_scenes, gradcheck,
-                            infer, train)
+                            build_training_set, gradcheck, infer, train)
 from lidardet.pcio import PointCloud
 from lidardet.synthgen import (DEFAULT_SCENE_RANGE, SceneSpec,
                                generate_scenes)
@@ -380,7 +379,7 @@ def test_criterion_07_uncertainty_learning(capsys):
     cfg = TrainConfig(seed=0, **{**BENCH_TRAIN, "phase1_steps": 4000,
                                  "phase2_steps": 12000, "decay_every": 4000})
     params, _ = train_on(train_scenes, cfg, layout)
-    dets = detect_scenes(params, eval_scenes, DEFAULT_SCENE_RANGE)
+    dets = detect_shared([params], eval_scenes, layout)[0]
     recs = matched_records(eval_scenes, dets)
     tv = np.array([r.rpn_tv + r.frh_loc_tv + r.frh_orient_tv for r in recs])
     sigma = np.array([r.sigma_label for r in recs])
@@ -445,7 +444,7 @@ def test_criterion_09_base_angle_analysis(capsys):
     layout = fit_layout(train_scenes)
     cfg = TrainConfig(seed=0, **BENCH_TRAIN)
     params, _ = train_on(train_scenes, cfg, layout)
-    dets = detect_scenes(params, eval_scenes, DEFAULT_SCENE_RANGE)
+    dets = detect_shared([params], eval_scenes, layout)[0]
     # every detection carries a yaw and an orientation variance, so the
     # angle analysis pools all of them, matched or not
     recs = []

@@ -56,6 +56,24 @@ class TestGridShape:
         assert np.all(grid.heights == SMALL.z_min)
         assert np.all(grid.density == 0.0)
 
+    def test_empty_cloud_is_the_blank_cell_everywhere(self):
+        # as bits, so a -0.0 density would not pass for the blank 0.0
+        spec = RangeSpec(0.0, 8.0, -4.0, 4.0, -0.3, 2.2, 0.5, 5, 0.5)
+        grid = rasterize(PointCloud(points=np.zeros((0, 4)), frame_id=""), spec)
+        blank = np.array([-0.3] * 5 + [0.0])
+        assert grid.cells.shape == (16, 16, 6)
+        np.testing.assert_array_equal(grid.cells.view(np.uint64),
+                                      np.broadcast_to(blank.view(np.uint64), (16, 16, 6)))
+
+    def test_heights_and_density_are_views_of_cells(self):
+        grid = rasterize(_cloud(np.random.default_rng(3), 500, SMALL), SMALL)
+        assert grid.channels == grid.cells.shape[-1] == SMALL.num_slices + 1
+        assert np.shares_memory(grid.heights, grid.cells)
+        assert np.shares_memory(grid.density, grid.cells)
+        grid.heights[2, 3, 1] = 7.5
+        grid.density[4, 5] = 0.25
+        assert grid.cells[2, 3, 1] == 7.5 and grid.cells[4, 5, -1] == 0.25
+
 
 class TestDensityLaw:
     @pytest.mark.parametrize("n", [0, 1, 3, 15, 50])
@@ -138,6 +156,12 @@ class TestGridFile:
         np.testing.assert_array_equal(heights, grid.heights.astype(np.float32))
         np.testing.assert_array_equal(density, grid.density.astype(np.float32))
         assert meta["rows"] == SMALL.n_rows and meta["cols"] == SMALL.n_cols
+
+    def test_blob_body_is_the_cells_as_float32(self, tmp_path):
+        grid = rasterize(_cloud(np.random.default_rng(8), 1500, SMALL), SMALL)
+        path = tmp_path / "g.bin"
+        write_grid(grid, path)
+        assert path.read_bytes()[32:] == grid.cells.astype("<f4").tobytes()
 
     def test_read_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

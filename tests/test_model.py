@@ -21,8 +21,7 @@ from lidardet.model import (LV_CLIP, STAGE1_CELLS, STAGE1_HEADS, STAGE2_HEADS,
                             ModelParams, StepBatch, TrainConfig,
                             adam_step, anchor_features, apply_label_noise,
                             build_anchor_set, build_training_set, cell_range,
-                            detect_scenes, dropout_mask,
-                            feature_length, featurize, gradcheck, infer,
+                            dropout_mask, feature_length, featurize, gradcheck, infer,
                             init_adam, init_params, load_detections,
                             load_params, lr_schedule, named_arrays, run_batch,
                             save_detections, save_params, stage1_backward,
@@ -77,7 +76,7 @@ class TestPooling:
             for shape in ((6, 7, 3), (2, 9, 4), (1, 1, 2)):
                 h = rng.normal(size=shape)
                 d = rng.random(shape[:2])
-                got = _pool_stats(h, d, blocks, z_min=-5.0)
+                got = _pool_stats(np.dstack([h, d]), blocks, z_min=-5.0)
                 np.testing.assert_allclose(got, brute_pool(h, d, blocks, -5.0),
                                            atol=1e-12)
 
@@ -85,11 +84,10 @@ class TestPooling:
         rng = np.random.default_rng(2)
         h = rng.normal(size=(4, 5, 6, 3))
         d = rng.random((4, 5, 6))
-        batched = _pool_stats(h, d, 2, z_min=0.0)
+        cells = np.concatenate([h, d[..., None]], axis=-1)
+        batched = _pool_stats(cells, 2, z_min=0.0)
         for b in range(4):
-            np.testing.assert_allclose(batched[b],
-                                       _pool_stats(h[b], d[b], 2, 0.0),
-                                       atol=1e-12)
+            np.testing.assert_allclose(batched[b], _pool_stats(cells[b], 2, 0.0), atol=1e-12)
 
     def test_block_spans_match_array_split(self):
         for n in range(61):
@@ -148,9 +146,8 @@ class TestPooling:
         assert tiny > 50  # windows smaller than the block layout, 1x1 among them
 
     def test_window_smaller_than_blocks_pads_with_sentinel(self):
-        h = np.full((1, 1, 2), 3.0)
-        d = np.ones((1, 1))
-        out = _pool_stats(h, d, 2, z_min=-1.0)
+        cells = np.array([[[3.0, 3.0, 1.0]]])
+        out = _pool_stats(cells, 2, z_min=-1.0)
         # 4 blocks x (2 max, 2 mean, 2 density); 3 blocks are empty
         assert out.shape == (24,)
         assert np.count_nonzero(out == -1.0) == 12
@@ -357,8 +354,9 @@ class TestBlankWindows:
 
     def blank_grid(self):
         spec = self.SPEC
-        return BevGrid(np.full((spec.n_rows, spec.n_cols, spec.num_slices), spec.z_min),
-                       np.zeros((spec.n_rows, spec.n_cols)), spec)
+        cells = np.full((spec.n_rows, spec.n_cols, spec.num_slices + 1), spec.z_min)
+        cells[..., -1] = 0.0
+        return BevGrid(cells, spec)
 
     def test_detect_full_scene_law_frames(self):
         # the benchmark's range, then the same frame at z_min = -0.3
@@ -1154,12 +1152,11 @@ class TestInference:
             assert da.box == db.box and da.score == db.score
             np.testing.assert_array_equal(da.loc_log_var, db.loc_log_var)
 
-    def test_detect_scenes_tags_frames(self):
+    def test_infer_tags_frames(self):
         scenes, params, _ = self._setup()
-        per_scene = detect_scenes(params, scenes, SCENE_SPEC.range_spec)
-        assert len(per_scene) == len(scenes)
-        for scene, dets in zip(scenes, per_scene):
-            for d in dets:
+        for scene in scenes:
+            grid = rasterize(scene.cloud, SCENE_SPEC.range_spec)
+            for d in infer(params, grid, frame_id=scene.cloud.frame_id):
                 assert d.frame_id == scene.cloud.frame_id
 
     def test_score_min_one_returns_no_detections(self):
@@ -1367,10 +1364,10 @@ class TestCompactRows:
             assert stage1_rows == want and want[0] <= len(aset)
 
     def test_paper_grid_frame_peak_memory_is_a_fraction_of_the_dense_rows(self):
-        # detect_full's car-only scene law, 140,000 anchors: the compact rows,
-        # the per-anchor index arrays and the (700, 800, 6) grid stack, no
-        # (N, F) matrix. Measured 0.33-0.40 of N * F * 8 bytes over scene
-        # seeds 300-311.
+        # detect_full's car-only scene law, 140,000 anchors: the compact rows
+        # and the per-anchor index arrays, no (N, F) matrix and no copy of the
+        # grid's cells. Measured 0.12-0.18 of N * F * 8 bytes over scene seeds
+        # 300-311.
         spec = RangeSpec()
         grid = rasterize(generate_scenes(SceneSpec(seed=301, range_spec=spec, **FULL_SCENE),
                                          1)[0].cloud, spec)
@@ -1381,7 +1378,7 @@ class TestCompactRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * len(aset) * feats.rows.shape[1] * 8
+        assert peak < 0.25 * len(aset) * feats.rows.shape[1] * 8
 
     def test_features_of_another_anchor_set_are_rejected(self):
         grid, aset, _ = compact_case("bench_law")
