@@ -8,8 +8,9 @@
 # likelihood forms of the training loss are compared. Each side also
 # trains with `train.hidden1 = 256` appended (model_h256.bin, 4,096 rows per
 # stage-1 block) and runs infer with that model on a 192 x 192-cell raster at
-# quick.cfg's resolution and slices (dets_h256/: 9,216 anchors, two stage-1
-# blocks), so that a multi-block stage 1 is compared. Each side also runs
+# quick.cfg's resolution and slices (dets_h256/: 9,216 anchors, whose 56-135
+# compact rows per scene are padded up to the least count of 2,048 rows), so
+# that a third width of stage 1 is compared. Each side also runs
 # infer with model.bin on a raster whose height range is shifted to
 # `raster.z_min = -0.3`, `raster.z_max = 2.2` (dets_zmin/), where the mean of
 # the empty-cell sentinels in a pooling block need not be z_min exactly, so
@@ -22,11 +23,13 @@
 # Each side also runs infer on the paper's grid, `raster.x_min = 0.0`,
 # `raster.x_max = 70.0`, `raster.y_min = -40.0`, `raster.y_max = 40.0`,
 # `raster.xy_resolution = 0.1` (700 x 800 cells, 140,000 anchors), with
-# model.bin (dets_paper/: 65,536-row stage-1 blocks at hidden1 = 16) and with
-# a model trained with `train.hidden1 = 1024` appended (model_h1024.bin,
-# dets_paper_h1024/: 1,024-row blocks), so that stage 1 over the compact rows
-# of anchor_features, padded to whole blocks, is compared with stage 1 over
-# the anchor rows: one block per scene, and two to four.
+# model.bin (dets_paper/), with a model trained with `train.hidden1 = 1024`
+# appended (model_h1024.bin, dets_paper_h1024/) and with one trained with
+# `train.hidden1 = 64` appended, the benchmark's width (model_h64.bin,
+# dets_paper_h64/), so that stage 1 over the compact rows of anchor_features
+# (about 1,500-3,500 per scene) is compared with stage 1 over the anchor
+# rows: padded up to the least count of 32,768 rows at hidden1 = 16 and
+# 8,192 at 64, and unpadded in one to three 1,024-row blocks at 1024.
 # Each side also runs anchor_features + infer with model.bin over the 20
 # scenes on one anchor set per grid, reused from scene to scene as the
 # benchmark's frame loop does, on quick.cfg's raster (dets_cross/) and on
@@ -76,6 +79,7 @@ pipeline() {  # <source tree> <output dir>
     { cat "$tmp/quick.cfg"; echo "train.form = laplace"; } > "$out/laplace.cfg"
     { cat "$tmp/quick.cfg"; echo "train.hidden1 = 256"; } > "$out/h256.cfg"
     { cat "$tmp/quick.cfg"; echo "train.hidden1 = 1024"; } > "$out/h1024.cfg"
+    { cat "$tmp/quick.cfg"; echo "train.hidden1 = 64"; } > "$out/h64.cfg"
     { cat "$out/h256.cfg"; echo "raster.x_max = 96.0"; echo "raster.y_min = -48.0"
       echo "raster.y_max = 48.0"; } > "$out/h256_wide.cfg"
     { cat "$tmp/quick.cfg"; echo "raster.z_min = -0.3"; echo "raster.z_max = 2.2"; } \
@@ -97,6 +101,8 @@ pipeline() {  # <source tree> <output dir>
             --log train_log_h256.csv
         ldet train --data scenes --config h1024.cfg --out-params model_h1024.bin \
             --log train_log_h1024.csv
+        ldet train --data scenes --config h64.cfg --out-params model_h64.bin \
+            --log train_log_h64.csv
         ldet infer --params model.bin --data scenes --out dets --config quick.cfg \
             --records records.csv
         ldet infer --params model_h256.bin --data scenes --out dets_h256 \
@@ -105,6 +111,8 @@ pipeline() {  # <source tree> <output dir>
         ldet infer --params model.bin --data scenes --out dets_edges --config edges.cfg
         ldet infer --params model.bin --data scenes --out dets_paper --config paper.cfg
         ldet infer --params model_h1024.bin --data scenes --out dets_paper_h1024 \
+            --config paper.cfg
+        ldet infer --params model_h64.bin --data scenes --out dets_paper_h64 \
             --config paper.cfg
         ldet eval --dets dets --gts scenes --iou 0.5 --out pr.csv
         for analysis in tv-vs-distance tv-vs-score tv-vs-angle difficulty-hist \

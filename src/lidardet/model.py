@@ -24,14 +24,16 @@ distance enters only through point sparsity.
 
 ``featurize`` reduces one window's blocks with ``np.maximum.reduceat`` and
 ``np.add.reduceat``, rows first, then columns. ``anchor_features`` pools the
-anchor lattice with the same reductions done on whole slabs of blocks, and
-its lattice rows equal ``featurize`` bit for bit because it adds in
-reduceat's own order. That order is the summation-order rule: a block's sum
-is its first cell plus numpy's pairwise sum of the other cells, which is a
-left fold below 8 terms, 8 interleaved partial sums from 8 to 128 terms,
-and two halves summed apart above 128. A different order would move the
-last bits of the features, and with them the pool digests and artifacts
-that refactors are checked against.
+anchor lattice with the same reductions done on whole slabs of blocks, one
+clipped window size and one column run at a time (a maximal column interval
+that the size's occupied windows cover), and its lattice rows equal
+``featurize`` bit for bit because it adds in reduceat's own order. That
+order is the summation-order rule: a block's sum is its first cell plus
+numpy's pairwise sum of the other cells, which is a left fold below 8
+terms, 8 interleaved partial sums from 8 to 128 terms, and two halves
+summed apart above 128. A different order would move the last bits of the
+features, and with them the pool digests and artifacts that refactors are
+checked against.
 
 ``anchor_features`` sorts the anchor windows, clipped to the grid, into two
 kinds. An occupied window holds a cell that is not the empty cell (every
@@ -51,25 +53,24 @@ clipped windows and their codes, and the set keeps each blank row once
 prefix sum with four lookups per anchor, and its other work scales with the
 occupied windows.
 
-``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows
-and keeps only the logits, reg and log-variance outputs, 14 floats per
-scored row; each block's rows are gathered on their own and its (rows,
-hidden1) temporaries are freed before the next, so its transient memory is
-bounded by STAGE1_CELLS, not by the anchor count. The row rule: when the
-compact rows, zero-padded up to whole blocks, are fewer than the N anchors,
-stage 1 scores those blocks; otherwise it scores the N anchor rows, the
-remainder joined to the last block. So it never scores more than N rows.
-Only what is read goes back to the anchors: the scores, through the slots,
-and the reg and log-variance outputs of the ``pre_nms_top`` proposals. The
-block is sized in hidden activations, not rows, for the bits: OpenBLAS
-computes a head product ``hid @ w_head`` whose M*N*K is at most about 1e6
-with a small-matrix kernel that rounds differently. At 2**20 activations
-every block's head products stay above that size, so a row's outputs do not
-depend on the block it is scored in: both sides of the row rule equal one
-call over all anchor rows bit for bit, and fewer than two blocks' rows are
-that one call. Compact rows are never scored in a block shorter than the
-budget, which would fall into the small kernel (a bench frame's ~1,100
-rows alone change the bits of most of them).
+``infer`` runs stage 1 over row blocks of ``STAGE1_CELLS // hidden1`` rows,
+the remainder joined to the last block, and keeps only the logits, reg and
+log-variance outputs, 14 floats per scored row; each block's rows are
+gathered on their own and its (rows, hidden1) temporaries are freed before
+the next, so its transient memory is bounded by STAGE1_CELLS, not by the
+anchor count. The row rule: when the compact rows, zero-padded up to the
+least count ``STAGE1_CELLS / (hidden1 * narrowest head width)`` (8,192 rows at
+hidden1 = 64), are fewer than the N anchors, stage 1 scores them; otherwise
+it scores the N anchor rows. So it never scores more than N rows. Only what
+is read goes back to the anchors: the scores, through the slots, and the reg
+and log-variance outputs of the ``pre_nms_top`` proposals. The least count
+is set by the bits: OpenBLAS computes a head product ``hid @ w_head`` whose
+M*N*K is at most about 1e6 with a small-matrix kernel that rounds
+differently. A block of the least count or more has head products of 2**20
+multiply-adds or more, so a row's outputs do not depend on the block it is
+scored in, and both sides of the row rule equal one call over all anchor
+rows bit for bit. A bench frame's ~1,100 compact rows alone would change the
+bits of most of them; a test holds the bound on the BLAS in use.
 """
 
 from __future__ import annotations
@@ -132,24 +133,40 @@ def _pool_stats(cells: np.ndarray, pool_blocks: int, z_min: float) -> np.ndarray
 SLAB_CELLS = 1 << 16  # floats per lattice chunk's block table: bounds its temporaries
 
 
-def _pairwise_slabs(slab, k, n):
-    """Sum of ``slab(k)`` to ``slab(k + n - 1)``, n >= 1, in the order of numpy's
-    pairwise sum: a left fold below 8 terms; up to 128, 8 interleaved partial sums
-    added as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover terms; above 128, the
-    two halves summed apart, the first a multiple of 8 terms long."""
-    if n < 8:
-        out = slab(k)
-        for i in range(k + 1, k + n):
-            out += slab(i)
-        return out
+def _sum_slabs(out, slab, k, n):
+    """Writes the sum of ``slab(k)`` to ``slab(k + n - 1)``, n >= 1, into out and
+    returns it, in the order of numpy's pairwise sum: a left fold below 8 terms;
+    up to 128, 8 interleaved partial sums added as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the leftover terms; above 128, the two halves summed apart, the first
+    a multiple of 8 terms long. The tree adds into out and two scratch
+    buffers; a lane is held apart only when it sums more than one slab."""
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _pairwise_slabs(slab, k, half) + _pairwise_slabs(slab, k + half, n - half)
-    r = [slab(k + j) for j in range(8)]
-    for i in range(k + 8, k + n - n % 8, 8):
-        for j, lane in enumerate(r):
-            lane += slab(i + j)
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        _sum_slabs(out, slab, k, half)
+        return np.add(out, _sum_slabs(np.empty_like(out), slab, k + half, n - half), out=out)
+    if n < 8:
+        if n == 1:
+            out[...] = slab(k)
+        else:
+            np.add(slab(k), slab(k + 1), out=out)
+        for i in range(k + 2, k + n):
+            out += slab(i)
+        return out
+    if n < 16:
+        def lane(j):  # one slab per lane
+            return slab(k + j)
+    else:
+        lanes = [slab(k + j) for j in range(8)]
+        for i in range(k + 8, k + n - n % 8, 8):
+            for j, acc in enumerate(lanes):
+                acc += slab(i + j)
+        lane = lanes.__getitem__
+    a, b = np.empty_like(out), np.empty_like(out)
+    np.add(lane(0), lane(1), out=out)
+    out += np.add(lane(2), lane(3), out=a)
+    np.add(lane(4), lane(5), out=a)
+    a += np.add(lane(6), lane(7), out=b)
+    out += a
     for i in range(k + n - n % 8, k + n):
         out += slab(i)
     return out
@@ -160,27 +177,31 @@ def _reduce_blocks(ufunc, a, starts, lengths):
     per distinct (s, n) pair of the int arrays ``starts`` and ``lengths`` broadcast
     together: returns the table of reduced blocks and each pair's row in it.
 
-    The blocks of one length are reduced as whole slabs ``a[starts + k]``.
+    The table is ordered by length, then start, so the blocks of one length are
+    a slice of it, reduced in place as whole slabs ``a[starts + k]``.
     np.maximum folds them in order; np.add adds the first slab to the pairwise
     sum of the others, which is the order of reduceat's inner loop, so the
     table equals reduceat bit for bit."""
-    width = lengths.max() + 1
-    codes = starts * width + lengths
+    span = starts.max() + 1
+    codes = lengths * span + starts
     pairs, at = np.unique(codes, return_inverse=True)
     table = np.empty((len(pairs),) + a.shape[1:])
-    for n in np.unique(pairs % width):
-        rows = np.flatnonzero(pairs % width == n)
+    n_of = pairs // span
+    cuts = [0, *(np.flatnonzero(np.diff(n_of)) + 1).tolist(), len(pairs)]
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        n, out = int(n_of[i]), table[i:j]
 
-        def slab(k, s=pairs[rows] // width):
+        def slab(k, s=pairs[i:j] % span):
             return a[s + k]
 
-        if ufunc is np.add:
-            table[rows] = slab(0) + _pairwise_slabs(slab, 1, n - 1) if n > 1 else slab(0)
+        if n == 1:
+            out[...] = slab(0)
+        elif ufunc is np.add:
+            np.add(slab(0), _sum_slabs(out, slab, 1, n - 1), out=out)
         else:
-            out = slab(0)
-            for k in range(1, n):
+            ufunc(slab(0), slab(1), out=out)
+            for k in range(2, n):
                 ufunc(out, slab(k), out=out)
-            table[rows] = out
     return table, at.reshape(codes.shape)
 
 
@@ -368,6 +389,18 @@ def _occupied_counts(grid: BevGrid, r0, c0, n_r, n_c) -> np.ndarray:
     return prefix[bottom + n_c] - prefix[top + n_c] - prefix[bottom] + prefix[top]
 
 
+def _column_runs(c0, n_c, n_cols):
+    """The column runs of windows ``[c0, c0 + n_c)`` on a grid of n_cols columns:
+    the maximal column intervals ``[lo, hi)`` the windows cover, in column
+    order, and the run that holds each window."""
+    edges = (np.bincount(c0, minlength=n_cols + 1)
+             - np.bincount(c0 + n_c, minlength=n_cols + 1))
+    covered = np.concatenate([[False], np.cumsum(edges[:-1]) > 0, [False]])
+    lo = np.flatnonzero(covered[1:] & ~covered[:-1])
+    hi = np.flatnonzero(covered[:-1] & ~covered[1:])
+    return lo, hi, np.searchsorted(lo, c0, side="right") - 1
+
+
 @dataclass(eq=False)
 class AnchorFeatures:
     """The feature rows of an anchor set in compact form: anchor i's row is
@@ -411,11 +444,13 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
     sentinels need not be ``z_min`` exactly.
 
     Each occupied window, border windows included, gets its own row, pooled
-    from its clipped start, one size at a time, in chunks of window start rows.
-    The row pass reduces each distinct row block once across the chunk's
-    columns; the column pass reduces each distinct column block of that strip,
-    transposed to (column, row block, channel), for all of the chunk's row
-    blocks at once, reading ``grid.cells`` in place. Both passes run
+    from its clipped start, one size at a time, per column run of the size
+    (``_column_runs``), in chunks of window start rows. A chunk's strip spans
+    its own windows' columns, so the empty columns between runs are never
+    reduced. The row pass reduces each distinct row block once across the
+    strip, reading ``grid.cells`` in place; the column pass reduces each
+    distinct column block of that strip, transposed to (column, row block,
+    channel), for all of the chunk's row blocks at once. Both passes run
     ``_reduce_blocks``, which adds in reduceat's order (first cell plus the
     pairwise sum of the rest), so these rows equal ``featurize`` bit for bit.
     A dense cloud, with every window occupied, has as many rows as anchors."""
@@ -456,21 +491,26 @@ def anchor_features(grid: BevGrid, aset: AnchorSet, pool_blocks: int = 3) -> Anc
         n_r, n_c = divmod(int(key), spec.n_cols + 1)
         (at_r, len_r), (at_c, len_c) = (np.array(_block_spans(n, pool_blocks))
                                         for n in (n_r, n_c))
-        # chunks of window start rows whose row-block table holds <= SLAB_CELLS floats
-        sel = sel[np.argsort(r0[sel], kind="stable")]
-        firsts = np.unique(r0[sel], return_index=True)[1]
-        span = c0[sel].max() + n_c - c0[sel].min()
-        per = max(1, SLAB_CELLS // (len(len_r) * span * grid.channels))
-        bounds = np.append(firsts[::per], len(sel))
+        # per column run, chunks of window start rows whose row-block table
+        # holds <= SLAB_CELLS floats
+        lo, hi, run = _column_runs(c0[sel], n_c, spec.n_cols)
+        order = np.lexsort((r0[sel], run))
+        sel, run = sel[order], run[order]
+        ends = np.searchsorted(run, np.arange(len(lo) + 1))
+        bounds = []
+        for i, j, width in zip(ends[:-1], ends[1:], hi - lo):
+            per = max(1, SLAB_CELLS // (len(len_r) * width * grid.channels))
+            bounds += (i + np.flatnonzero(np.diff(r0[sel[i:j]], prepend=-1)))[::per].tolist()
+        bounds.append(len(sel))
         for sub in (sel[i:j] for i, j in zip(bounds[:-1], bounds[1:])):
-            lo, hi = c0[sub].min(), c0[sub].max() + n_c
+            left, right = c0[sub].min(), c0[sub].max() + n_c
             stats = []
             for f in (np.maximum, np.add):
-                strip, row_at = _reduce_blocks(f, grid.cells[:, lo:hi], r0[sub, None] + at_r,
-                                               len_r)
+                strip, row_at = _reduce_blocks(f, grid.cells[:, left:right],
+                                               r0[sub, None] + at_r, len_r)
                 # (column, row block, channel): the column pass gathers contiguous rows
                 strip = np.ascontiguousarray(strip.transpose(1, 0, 2))
-                table, col_at = _reduce_blocks(f, strip, c0[sub, None] - lo + at_c, len_c)
+                table, col_at = _reduce_blocks(f, strip, c0[sub, None] - left + at_c, len_c)
                 stats.append(table[col_at[:, None, :], row_at[:, :, None]])
                 del strip, table  # peak memory: one strip and one block table at a time
             rows[sub, :-FEAT_GEOM] = _block_features(*stats, len_r, len_c, pool_blocks,
@@ -1128,35 +1168,37 @@ STAGE1_CELLS = 1 << 20  # hidden activations per stage-1 block in infer (module 
 
 def _stage1_blocks(p: Stage, x: np.ndarray, slot: Optional[np.ndarray] = None):
     """stage1_forward's (logits, reg, log_var) over the scored rows, scored in
-    blocks of STAGE1_CELLS // hidden1 rows, and the index of each anchor's row
-    among them: anchor i's outputs are at ``index[i]``, or at i when index is
-    None. The anchor rows are ``x[slot]`` (``x`` itself when slot is None);
-    each block's rows are gathered on their own and its cache is dropped
-    before the next, so no (N, F) matrix is built.
+    blocks of STAGE1_CELLS // hidden1 rows, the remainder joined to the last
+    block, and the index of each anchor's row among them: anchor i's outputs
+    are at ``index[i]``, or at i when index is None. The anchor rows are
+    ``x[slot]`` (``x`` itself when slot is None); each block's rows are
+    gathered on their own and its cache is dropped before the next, so no
+    (N, F) matrix is built.
 
-    The row rule: if the distinct rows ``x``, zero-padded up to whole blocks,
-    are fewer than the N anchors, those blocks are scored and the index is
-    slot. Otherwise the N anchor rows are scored, the remainder joined to the
-    last block, so fewer than two blocks' rows are one call, and the index is
-    None. So no more than N rows are scored, and compact rows are scored only
-    in whole blocks, never in a shorter product that would fall into
+    The row rule: if the distinct rows ``x``, zero-padded up to at least
+    ``STAGE1_CELLS / (hidden1 * narrowest head width)`` rows, are fewer than
+    the N anchors, they are scored and the index is slot; otherwise the N
+    anchor rows are, and the index is None. So no more than N rows are
+    scored, and compact rows never in a head product small enough for
     OpenBLAS's small-matrix kernel: both sides keep the bits of one call over
     all anchor rows (module doc)."""
-    size = max(1, STAGE1_CELLS // p.w1.shape[1])
+    hidden1 = p.w1.shape[1]
+    size = max(1, STAGE1_CELLS // hidden1)
+    least = -(-STAGE1_CELLS // (hidden1 * min(width for _, width, _ in p.heads)))
     n = len(x) if slot is None else len(slot)
-    padded = -(-len(x) // size) * size
+    compact = slot is not None and max(len(x), least) < n
+    scored = max(len(x), least) if compact else n
+    edges = [0, *range(size, scored - size + 1, size), scored]
     outs = []
-    if padded < n:
-        for i in range(0, padded, size):
-            block = x[i:i + size]
-            if len(block) < size:
-                block = np.concatenate([block, np.zeros((size - len(block),) + x.shape[1:])])
-            outs.append(stage1_forward(p, block)[:3])
-        return (*(np.concatenate(out) for out in zip(*outs)), slot)
-    edges = [0, *range(size, n - size + 1, size), n]
     for a, b in zip(edges[:-1], edges[1:]):
-        outs.append(stage1_forward(p, x[a:b] if slot is None else x[slot[a:b]])[:3])
-    return (*(np.concatenate(out) for out in zip(*outs)), None)
+        if not compact:
+            block = x[a:b] if slot is None else x[slot[a:b]]
+        elif b <= len(x):
+            block = x[a:b]
+        else:  # zero rows up to the least count
+            block = np.concatenate([x[a:], np.zeros((b - len(x),) + x.shape[1:])])
+        outs.append(stage1_forward(p, block)[:3])
+    return (*(np.concatenate(out) for out in zip(*outs)), slot if compact else None)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -1178,13 +1220,13 @@ def infer(params: ModelParams, grid: BevGrid, icfg: InferConfig = InferConfig(),
 
     Deterministic: no dropout at inference, stable orderings throughout.
     Stage 1 scores the compact rows of ``anchor_features``, or the anchor
-    rows, whichever are fewer once padded to whole blocks of STAGE1_CELLS
-    hidden activations (``_stage1_blocks``, module doc). That bounds its
-    temporaries whatever the anchor count, and keeps the bits of one call
-    over all anchors. Only what is read is mapped back to the anchors: the
-    scores, through one slot gather, and the reg and log-variance outputs of
-    the ``pre_nms_top`` best anchors, picked in the order of a stable argsort
-    (``_top_k``).
+    rows, whichever are fewer once the compact rows are padded up to the
+    least count of ``_stage1_blocks`` (module doc), in blocks of STAGE1_CELLS
+    hidden activations. That bounds its temporaries whatever the anchor
+    count, and keeps the bits of one call over all anchors. Only what is read
+    is mapped back to the anchors: the scores, through one slot gather, and
+    the reg and log-variance outputs of the ``pre_nms_top`` best anchors,
+    picked in the order of a stable argsort (``_top_k``).
 
     anchor_feats, when given, must be anchor_features() for this grid on the
     model's anchor set: its anchor set must have the model's layout, this

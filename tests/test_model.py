@@ -27,7 +27,8 @@ from lidardet.model import (LV_CLIP, STAGE1_CELLS, STAGE1_HEADS, STAGE2_HEADS,
                             save_detections, save_params, stage1_backward,
                             stage1_forward, stage2_backward, stage2_forward,
                             train)
-from lidardet.model import _block_spans, _pool_stats, _reduce_blocks, _stage1_blocks
+from lidardet.model import (_block_spans, _column_runs, _occupied_counts, _pool_stats,
+                            _reduce_blocks, _stage1_blocks)
 from lidardet.model import _top_k as model_top_k
 from lidardet.pcio import PointCloud
 from lidardet.synthgen import DEFAULT_SCENE_RANGE, SceneSpec, generate_scenes
@@ -117,6 +118,28 @@ class TestPooling:
             # bit patterns, so that the sign of a zero counts too
             np.testing.assert_array_equal(table[at.ravel()].view(np.uint64),
                                           want.view(np.uint64))
+
+    def test_reduce_blocks_every_length_to_300_equals_reduceat(self):
+        # four blocks per length, so each length's slice of the table holds
+        # several, for every length from 1 to 300: the left fold, lanes of one
+        # slab (8-15 terms after the first), lanes summing several slabs, and
+        # the halving above 128 terms. Starts are unsorted, with a repeated
+        # pair per length; values span 70 orders of magnitude and signed zeros.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(700, 2, 3)) * np.exp(rng.uniform(-80.0, 80.0, (700, 2, 3)))
+        a[rng.random(a.shape) < 0.05] = 0.0
+        a[rng.random(a.shape) < 0.05] = -0.0
+        lengths = np.repeat(np.arange(1, 301), 4)
+        starts = rng.integers(0, len(a) - lengths + 1)
+        starts[3::4] = starts[1::4]
+        order = rng.permutation(len(lengths))
+        starts, lengths = starts[order], lengths[order]
+        for ufunc in (np.maximum, np.add):
+            table, at = _reduce_blocks(ufunc, a, starts, lengths)
+            assert len(table) == len(set(zip(starts.tolist(), lengths.tolist()))) > 800
+            want = np.stack([ufunc.reduceat(a[s:s + n], [0], axis=0)[0]
+                             for s, n in zip(starts, lengths)])
+            np.testing.assert_array_equal(table[at].view(np.uint64), want.view(np.uint64))
 
     def test_featurize_matches_brute_pool_on_random_clipped_windows(self):
         grid = small_grid(9)
@@ -540,6 +563,68 @@ class TestBlankWindows:
         calls.clear()
         anchor_features(scene_a, aset, 2)
         assert calls == [2] * len(blank_keys(scene_a))
+
+
+class TestColumnRuns:
+    """anchor_features pools each clipped window size over its own column
+    runs: the maximal column intervals that the size's occupied windows
+    cover, so a chunk's strip never spans the empty columns between runs."""
+
+    SPEC = TestBlankWindows.SPEC  # 64 x 64 cells of 0.25 m
+    # a car shape, and one whose unswapped bin is 1 m by 14 m: its windows
+    # reach across the gap between the clusters
+    LAYOUT = AnchorLayout(shapes=((4.2, 1.8, 1.6), (1.0, 14.0, 1.5)), stride=3)
+
+    def runs_by_size(self, grid, aset):
+        """(c0, n_c, _column_runs) of the occupied windows of each clipped size."""
+        n_cols = grid.spec.n_cols
+        occ = np.flatnonzero(_occupied_counts(grid, aset.r0, aset.c0, aset.n_r, aset.n_c))
+        keys = aset.n_r[occ] * (n_cols + 1) + aset.n_c[occ]
+        for key in np.unique(keys):
+            c0, n_c = aset.c0[occ[keys == key]], int(key % (n_cols + 1))
+            runs = _column_runs(c0, n_c, n_cols)
+            # each window inside its run; runs in column order, apart, and
+            # covering exactly the union of the window columns
+            lo, hi, run = runs
+            assert (lo[run] <= c0).all() and (c0 + n_c <= hi[run]).all()
+            assert (lo < hi).all() and (hi[:-1] < lo[1:]).all()
+            want, got = np.zeros(n_cols, dtype=bool), np.zeros(n_cols, dtype=bool)
+            for c in c0.tolist():
+                want[c:c + n_c] = True
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                got[a:b] = True
+            np.testing.assert_array_equal(got, want)
+            yield c0, n_c, runs
+
+    def test_two_clusters_in_the_same_rows(self):
+        # cars at 6-10 m ahead, one cluster at columns 2-9, one at 54-61
+        rng, n = np.random.default_rng(51), 300
+        y = np.concatenate([rng.uniform(-7.5, -5.5, n), rng.uniform(5.5, 7.5, n)])
+        pts = np.column_stack([rng.uniform(6.0, 10.0, 2 * n), y,
+                               rng.uniform(-0.3, 2.2, 2 * n), rng.random(2 * n)])
+        grid = rasterize(PointCloud(pts, "t"), self.SPEC)
+        aset = build_anchor_set(self.LAYOUT, self.SPEC)
+        split = bridged = 0
+        for c0, n_c, (lo, _, _) in self.runs_by_size(grid, aset):
+            split += len(lo) > 1
+            bridged += ((c0 < 10) & (c0 + n_c > 54)).any()
+        assert split > 0 and bridged > 0
+        for blocks in (2, 3):
+            assert_rows_bitwise(grid, aset, blocks)
+
+    def test_dense_cloud_gives_one_run_per_size(self):
+        # every window is occupied; only sizes held by border windows alone,
+        # clipped to one width at both column edges, split
+        rng, n = np.random.default_rng(52), 20000
+        pts = np.column_stack([rng.uniform(0.0, 16.0, n), rng.uniform(-8.0, 8.0, n),
+                               rng.uniform(-0.3, 2.2, n), rng.random(n)])
+        grid = rasterize(PointCloud(pts, "t"), self.SPEC)
+        for layout in (self.LAYOUT, TestBlankWindows.LAYOUT):
+            aset = build_anchor_set(layout, self.SPEC)
+            for c0, n_c, (lo, _, _) in self.runs_by_size(grid, aset):
+                inner = (c0 > 0) & (c0 + n_c < self.SPEC.n_cols)
+                assert len(lo) == 1 if inner.any() else len(lo) <= 2
+            assert_rows_bitwise(grid, aset)
 
 
 class TestForwardBackward:
@@ -1226,6 +1311,20 @@ class TestStage1Blocks:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    @pytest.mark.parametrize("hidden1", [16, 64, 256, 1024])
+    def test_least_rows_keep_the_bits_of_a_longer_product(self, hidden1):
+        # stage 1 pads compact rows only up to the least count because a head
+        # product of 2**20 multiply-adds or more has per-row bits that do not
+        # depend on its row count. A BLAS with a larger small-matrix bound
+        # fails here instead of moving the artifacts.
+        least = -(-STAGE1_CELLS // (hidden1 * min(w for _, w, _ in STAGE1_HEADS)))
+        rng = np.random.default_rng(hidden1)
+        hid = np.maximum(rng.normal(size=(2 * least, hidden1)), 0.0)
+        for _, width, _ in STAGE1_HEADS:
+            w = rng.normal(size=(hidden1, width))
+            np.testing.assert_array_equal((hid[:least] @ w).view(np.uint64),
+                                          (hid @ w)[:least].view(np.uint64))
+
     def test_infer_peak_memory_is_bounded_by_the_block_budget(self):
         # hidden1 = 256 gives 4,096-row blocks: the 14,000 anchors of the
         # default range are three blocks, the last 5,808 rows. The largest
@@ -1308,8 +1407,8 @@ COMPACT_CASES = ["full_law", "bench_law", "dense_cloud", "z_min", "empty_cloud",
 
 class TestCompactRows:
     """anchor_features returns the distinct rows and a slot per anchor, and
-    stage 1 scores the compact rows, padded to whole blocks, when they are
-    fewer than the anchors, else the anchor rows. Both equal the dense path
+    stage 1 scores the compact rows, padded up to the least count, when they
+    are fewer than the anchors, else the anchor rows. Both equal the dense path
     bit for bit: every row against featurize, and the stage-1 outputs against
     _stage1_blocks over the gathered (N, F) anchor rows, which
     TestStage1Blocks holds equal to one call."""
@@ -1344,18 +1443,20 @@ class TestCompactRows:
             got = [a[index] for a in got]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-        # never more rows than anchors: the padded compact rows when fewer,
-        # else the anchor rows
-        block = STAGE1_CELLS // hidden1
-        padded = -(-feats.rows.shape[0] // block) * block
+        # never more rows than anchors: the compact rows, padded up to the
+        # least count, when fewer, else the anchor rows
+        least = -(-STAGE1_CELLS // (hidden1 * 2))
+        padded = max(feats.rows.shape[0], least)
         assert sum(stage1_rows) == min(padded, len(aset))
-        # 16,384-row blocks: only the full frame's 140,000 anchors outnumber
-        # one block; 4,096-row blocks: every case but the dense cloud
-        compact = name == "full_law" or (hidden1 == 256 and name != "dense_cloud")
+        # a least count of 8,192 rows (hidden1 64) or 2,048 (256): every case
+        # but the dense cloud
+        compact = name != "dense_cloud"
         assert (sum(stage1_rows) < len(aset)) == compact
 
     def test_infer_scores_one_padded_block_or_the_anchor_rows(self, stage1_rows):
-        for name, want in (("full_law", [STAGE1_CELLS // 64]), ("bench_law", [14000])):
+        # the full frame's 16,156 compact rows in one block; the bench frame's
+        # compact rows padded up to the least count, 8,192 rows at hidden1 64
+        for name, want in (("full_law", [16156]), ("bench_law", [STAGE1_CELLS // 128])):
             grid, aset, feats = compact_case(name)
             params = perturbed_params(64, feats.rows.shape[1], LAYOUT_TWO,
                                       np.random.default_rng(4))
